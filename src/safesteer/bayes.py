@@ -28,10 +28,10 @@ class Prior:
 
     def param_sigmas(self, spec: nn.NetworkSpec) -> np.ndarray:
         """Per-parameter scale vector for the given network."""
-        sl = [s for s in nn._param_slices(spec) if s is not None]
+        sl = [s for s in spec.plan.slices if s is not None]
         if self.per_layer is not None and len(self.per_layer) != len(sl):
             raise ValueError(f"{len(self.per_layer)} scales for {len(sl)} parameterized layers")
-        out = np.empty(nn.param_count(spec))
+        out = np.empty(spec.plan.param_count)
         for i, (wsl, bsl) in enumerate(sl):
             scale = self.per_layer[i] if self.per_layer is not None else self.sigma
             out[wsl] = scale
@@ -43,13 +43,15 @@ class Prior:
 class McdPosterior:
     spec: nn.NetworkSpec
     weights: np.ndarray
-    rates: tuple[float, ...]
 
     def __post_init__(self):
-        if any(not 0.0 <= r < 1.0 for r in self.rates):
-            raise ValueError("dropout rates must be in [0, 1)")
         if self.weights.shape != (nn.param_count(self.spec),):
             raise ValueError("weight vector does not match the network")
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        """The dropout rates of the network's dropout layers, in order."""
+        return tuple(l.dropout_rate for l in self.spec.layers if l.dropout_rate > 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
               batch_size: int = 16, lr: float = 1e-4,
               rng: np.random.Generator | None = None) -> McdPosterior:
     """Train the full network with dropout active (fresh masks per example)
-    under ADAM; returns the weights together with the head dropout rates."""
+    under ADAM."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -124,8 +126,7 @@ def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
             masks = nn.sample_dropout_mask(spec, rng, batch=len(idx))
             _, grad = nn.nll_and_grad_batch(spec, w, x_all[idx], y_all[idx], masks)
             w, adam = nn.adam_step(adam, w, grad)
-    rates = tuple(l.dropout_rate for l in spec.layers if l.dropout_rate > 0.0)
-    return McdPosterior(spec, w, rates)
+    return McdPosterior(spec, w)
 
 
 def extract_features(mcd: McdPosterior, image: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def extract_features(mcd: McdPosterior, image: np.ndarray) -> np.ndarray:
 
 
 def extract_features_batch(mcd: McdPosterior, images: np.ndarray) -> np.ndarray:
-    boundary = nn.feature_boundary(mcd.spec)
+    boundary = mcd.spec.plan.feature_boundary
     x = np.stack([image_to_input(img) for img in images])
     if x.shape[1:] != tuple(mcd.spec.input_shape):
         raise ValueError(f"image shape {x.shape[1:]} != {tuple(mcd.spec.input_shape)}")
@@ -143,7 +144,7 @@ def extract_features_batch(mcd: McdPosterior, images: np.ndarray) -> np.ndarray:
 
 
 def head_weights(mcd: McdPosterior) -> np.ndarray:
-    return mcd.weights[nn.head_slice(mcd.spec)].copy()
+    return mcd.weights[mcd.spec.plan.head_slice].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +172,27 @@ def kl_diag_gaussian(mu: np.ndarray, rho: np.ndarray,
                         + (sigma ** 2 + mu ** 2) / (2.0 * prior_sigma ** 2) - 0.5))
 
 
-def _elbo_sample(loglik_fn, mu, rho, prior_sigma, zeta):
-    """One reparameterized ELBO estimate and its (mu, rho) gradient."""
+def _elbo_estimate(loglik_fn, mu, rho, prior_sigma, rng, mc_samples):
+    """Mean over mc_samples reparameterized draws (w = mu + e^rho * zeta) of
+    the ELBO and its (mu, rho) gradient; the KL term is exact."""
     sigma = np.exp(rho)
-    w = mu + sigma * zeta
-    ll, dw = loglik_fn(w)
     kl = kl_diag_gaussian(mu, rho, prior_sigma)
-    grad_mu = dw - mu / prior_sigma ** 2
-    grad_rho = dw * sigma * zeta - (sigma ** 2 / prior_sigma ** 2 - 1.0)
-    elbo = ll - kl
-    if not (np.isfinite(elbo) and np.all(np.isfinite(grad_mu)) and np.all(np.isfinite(grad_rho))):
-        raise FloatingPointError("non-finite ELBO gradient")
-    return grad_mu, grad_rho, elbo
+    gm = np.zeros_like(mu)
+    gr = np.zeros_like(rho)
+    elbo = 0.0
+    for _ in range(mc_samples):
+        zeta = rng.standard_normal(mu.size)
+        ll, dw = loglik_fn(mu + sigma * zeta)
+        grad_mu = dw - mu / prior_sigma ** 2
+        grad_rho = dw * sigma * zeta - (sigma ** 2 / prior_sigma ** 2 - 1.0)
+        sample_elbo = ll - kl
+        if not (np.isfinite(sample_elbo) and np.all(np.isfinite(grad_mu))
+                and np.all(np.isfinite(grad_rho))):
+            raise FloatingPointError("non-finite ELBO gradient")
+        gm += grad_mu / mc_samples
+        gr += grad_rho / mc_samples
+        elbo += sample_elbo / mc_samples
+    return gm, gr, elbo
 
 
 def elbo_gradient(ds: FeatureDataset, head: nn.NetworkSpec, prior: Prior,
@@ -190,18 +200,8 @@ def elbo_gradient(ds: FeatureDataset, head: nn.NetworkSpec, prior: Prior,
                   mc_samples: int = 1):
     """Reparameterization estimator of the ELBO gradient (w = mu + e^rho * zeta)
     with the Gaussian-vs-Gaussian KL in closed form."""
-    loglik = _class_loglik(ds, head)
-    prior_sigma = prior.param_sigmas(head)
-    gm = np.zeros_like(mu)
-    gr = np.zeros_like(rho)
-    elbo = 0.0
-    for _ in range(mc_samples):
-        zeta = rng.standard_normal(mu.size)
-        a, b, e = _elbo_sample(loglik, mu, rho, prior_sigma, zeta)
-        gm += a / mc_samples
-        gr += b / mc_samples
-        elbo += e / mc_samples
-    return gm, gr, elbo
+    return _elbo_estimate(_class_loglik(ds, head), mu, rho, prior.param_sigmas(head),
+                          rng, mc_samples)
 
 
 @dataclass(frozen=True)
@@ -228,17 +228,8 @@ def fit_mean_field(loglik_fn, dim: int, prior_sigma: np.ndarray, cfg: ViConfig,
     tail_sum = np.zeros_like(params)
     tail_n = 0
     for it in range(cfg.iterations):
-        mu, rho = params[:dim], params[dim:]
-        gm = np.zeros(dim)
-        gr = np.zeros(dim)
-        elbo = 0.0
-        for _ in range(cfg.mc_samples):
-            zeta = rng.standard_normal(dim)
-            a, b, e = _elbo_sample(loglik_fn, mu, rho, prior_sigma, zeta)
-            gm += a / cfg.mc_samples
-            gr += b / cfg.mc_samples
-            elbo += e / cfg.mc_samples
-        trace[it] = elbo
+        gm, gr, trace[it] = _elbo_estimate(loglik_fn, params[:dim], params[dim:],
+                                           prior_sigma, rng, cfg.mc_samples)
         # ascent: ADAM minimizes, so feed the negative gradient
         params, adam = nn.adam_step(adam, params, -np.concatenate([gm, gr]))
         if it >= tail_from:

@@ -116,30 +116,6 @@ class Path:
         self.pieces = list(pieces)
         self.cumlen = np.cumsum([p.length for p in self.pieces])
         self.length = float(self.cumlen[-1])
-        self._pack()
-
-    def _pack(self) -> None:
-        """Stack piece parameters so project_many runs as array ops."""
-        segs = [(i, p) for i, p in enumerate(self.pieces) if isinstance(p, Segment)]
-        arcs = [(i, p) for i, p in enumerate(self.pieces) if isinstance(p, Arc)]
-        offsets = np.concatenate([[0.0], self.cumlen[:-1]])
-        if segs:
-            self._seg_off = np.array([offsets[i] for i, _ in segs])
-            self._seg_start = np.array([[p.x0, p.y0] for _, p in segs])
-            self._seg_len = np.array([p.length for _, p in segs])
-            self._seg_unit = np.array(
-                [[(p.x1 - p.x0) / p.length, (p.y1 - p.y0) / p.length] for _, p in segs])
-        else:
-            self._seg_off = None
-        if arcs:
-            self._arc_off = np.array([offsets[i] for i, _ in arcs])
-            self._arc_center = np.array([[p.cx, p.cy] for _, p in arcs])
-            self._arc_radius = np.array([p.radius for _, p in arcs])
-            self._arc_phi0 = np.array([p.phi0 for _, p in arcs])
-            self._arc_sign = np.array([1.0 if p.sweep > 0 else -1.0 for _, p in arcs])
-            self._arc_total = np.array([abs(p.sweep) for _, p in arcs])
-        else:
-            self._arc_off = None
 
     def point_at(self, s: float) -> tuple[float, float]:
         s = min(max(s, 0.0), self.length)
@@ -154,48 +130,6 @@ class Path:
         i = min(i, len(self.pieces) - 1)
         s0 = self.cumlen[i - 1] if i > 0 else 0.0
         return self.pieces[i].heading_at(s - s0)
-
-    def project_many(self, px: np.ndarray, py: np.ndarray):
-        """Nearest-point projection of arrays of points onto the whole path.
-
-        Returns (dist, s_global, lateral)."""
-        px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
-        cols_d: list[np.ndarray] = []
-        cols_s: list[np.ndarray] = []
-        cols_l: list[np.ndarray] = []
-        if self._seg_off is not None:
-            rx = px[:, None] - self._seg_start[None, :, 0]
-            ry = py[:, None] - self._seg_start[None, :, 1]
-            ux, uy = self._seg_unit[:, 0], self._seg_unit[:, 1]
-            s = np.clip(rx * ux + ry * uy, 0.0, self._seg_len)
-            dx = rx - s * ux
-            dy = ry - s * uy
-            cols_d.append(np.hypot(dx, dy))
-            cols_s.append(s + self._seg_off)
-            cols_l.append(ux * dy - uy * dx)
-        if self._arc_off is not None:
-            vx = px[:, None] - self._arc_center[None, :, 0]
-            vy = py[:, None] - self._arc_center[None, :, 1]
-            dphi = np.mod(self._arc_sign * (np.arctan2(vy, vx) - self._arc_phi0), TWO_PI)
-            over = dphi - self._arc_total
-            outside = over > 0.0
-            dphi = np.where(outside, np.where(over < TWO_PI - dphi, self._arc_total, 0.0), dphi)
-            foot_phi = self._arc_phi0 + self._arc_sign * dphi
-            cphi, sphi = np.cos(foot_phi), np.sin(foot_phi)
-            dx = vx - self._arc_radius * cphi
-            dy = vy - self._arc_radius * sphi
-            cols_d.append(np.hypot(dx, dy))
-            cols_s.append(dphi * self._arc_radius + self._arc_off)
-            tx = -sphi * self._arc_sign
-            ty = cphi * self._arc_sign
-            cols_l.append(tx * dy - ty * dx)
-        dist = np.concatenate(cols_d, axis=1)
-        sval = np.concatenate(cols_s, axis=1)
-        lat = np.concatenate(cols_l, axis=1)
-        pick = np.argmin(dist, axis=1)
-        rows = np.arange(px.size)
-        return dist[rows, pick], sval[rows, pick], lat[rows, pick]
 
     def distance_sq_many(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Squared unsigned distance to the path. Pieces loop in Python with
@@ -233,11 +167,6 @@ class Path:
                 d2 = d * d
             best = d2 if best is None else np.minimum(best, d2)
         return best
-
-    def distance_many(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Unsigned distance to the path."""
-        return np.sqrt(self.distance_sq_many(np.asarray(px, dtype=np.float64),
-                                             np.asarray(py, dtype=np.float64)))
 
     def project(self, x: float, y: float) -> tuple[float, float, float]:
         """Scalar nearest-point projection (pure Python; hot in the

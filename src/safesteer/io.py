@@ -71,12 +71,15 @@ def write_dataset(ds: ImageDataset, directory) -> None:
 
 def read_dataset(directory) -> ImageDataset:
     directory = FsPath(directory)
-    rows = list(csv.DictReader(open(directory / "labels.csv", newline="")))
+    with open(directory / "labels.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"{directory}: labels.csv lists no images")
     images = []
     labels = []
     steerings = []
-    scenario = rows[0]["scenario"] if rows else ""
-    seed = int(rows[0]["seed"]) if rows and rows[0]["seed"] else None
+    scenario = rows[0]["scenario"]
+    seed = int(rows[0]["seed"]) if rows[0]["seed"] else None
     for row in rows:
         img_path = directory / f"{int(row['index']):06d}.pgm"
         if not img_path.exists():
@@ -148,7 +151,10 @@ def load_model(path) -> TrainedModel:
         raise ValueError(f"{path}: unsupported format_version {doc.get('format_version')}")
     spec = _spec_from_dict(doc["network"])
     weights = np.asarray(doc["weights"], dtype=np.float64)
-    mcd = bayes.McdPosterior(spec, weights, tuple(doc["dropout_rates"]))
+    mcd = bayes.McdPosterior(spec, weights)
+    if tuple(doc["dropout_rates"]) != mcd.rates:
+        raise ValueError(f"{path}: dropout_rates {tuple(doc['dropout_rates'])} disagree "
+                         f"with the network's {mcd.rates}")
     method = doc["method"]
     head = nn.head_spec(spec)
     posterior: bayes.Posterior

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +55,94 @@ def flatten() -> LayerSpec:
     return LayerSpec("flatten")
 
 
+class NetworkPlan:
+    """The layout of a network, derived once from its layer list:
+
+    - `in_shapes`, `out_shapes`: each layer's input and output shape;
+    - `kernel_shapes`: per conv/fc layer, the kernel as a (fan_in, outputs)
+      matrix, None for relu and flatten;
+    - `slices`: per conv/fc layer, the (kernel, bias) slices of the flat
+      weight vector, None for relu and flatten;
+    - `param_count`: the length of the flat weight vector;
+    - `dropout`: index -> input width of every layer that draws a mask.
+
+    The extractor/head split (`feature_boundary`, `head_spec`,
+    `head_slice`) is derived on first use, because a head spec has no
+    feature boundary of its own. Raises if the shapes do not compose."""
+
+    def __init__(self, layers: tuple[LayerSpec, ...], input_shape: Shape, num_classes: int):
+        self._layers = layers
+        self._num_classes = num_classes
+        in_shapes: list[Shape] = []
+        out_shapes: list[Shape] = []
+        kernel_shapes: list[tuple[int, int] | None] = []
+        slices: list[tuple[slice, slice] | None] = []
+        shape = input_shape
+        offset = 0
+        for i, layer in enumerate(layers):
+            in_shapes.append(shape)
+            kshape = None
+            if layer.kind == "conv":
+                if len(shape) != 3:
+                    raise ValueError(f"layer {i}: conv needs a HxWxC input, got {shape}")
+                h, w, cin = shape
+                ho = (h - layer.kernel) // layer.stride + 1
+                wo = (w - layer.kernel) // layer.stride + 1
+                if ho <= 0 or wo <= 0:
+                    raise ValueError(f"layer {i}: kernel {layer.kernel} too large for {shape}")
+                kshape = (layer.kernel * layer.kernel * cin, layer.filters)
+                shape = (ho, wo, layer.filters)
+            elif layer.kind == "fc":
+                if len(shape) != 1:
+                    raise ValueError(f"layer {i}: fc needs a flat input, got {shape}")
+                kshape = (shape[0], layer.width)
+                shape = (layer.width,)
+            elif layer.kind == "flatten":
+                shape = (int(np.prod(shape)),)
+            out_shapes.append(shape)
+            kernel_shapes.append(kshape)
+            if kshape is None:
+                slices.append(None)
+            else:
+                nw, nb = kshape[0] * kshape[1], kshape[1]
+                slices.append((slice(offset, offset + nw), slice(offset + nw, offset + nw + nb)))
+                offset += nw + nb
+        self.in_shapes = tuple(in_shapes)
+        self.out_shapes = tuple(out_shapes)
+        self.kernel_shapes = tuple(kernel_shapes)
+        self.slices = tuple(slices)
+        self.param_count = offset
+        self.dropout = {i: in_shapes[i][0] for i, layer in enumerate(layers)
+                        if layer.dropout_rate > 0.0}
+
+    @cached_property
+    def feature_boundary(self) -> int:
+        """Index of the first head layer: the layer right after the relu
+        that follows the first fc layer."""
+        for i, layer in enumerate(self._layers):
+            if layer.kind == "fc":
+                if i + 1 >= len(self._layers) or self._layers[i + 1].kind != "relu":
+                    raise ValueError("first fc layer is not followed by a relu")
+                return i + 2
+        raise ValueError("spec has no fc layer")
+
+    @cached_property
+    def head_spec(self) -> NetworkSpec:
+        b = self.feature_boundary
+        return NetworkSpec(self._layers[b:], self.out_shapes[b - 1], self._num_classes)
+
+    @cached_property
+    def head_slice(self) -> slice:
+        starts = [s[0].start for s in self.slices[self.feature_boundary:] if s is not None]
+        return slice(starts[0] if starts else self.param_count, self.param_count)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A network's layers and shapes. `__post_init__` also builds `plan`,
+    its NetworkPlan; the plan is a plain attribute rather than a field, so
+    equality, hashing and repr see only the three fields."""
+
     layers: tuple[LayerSpec, ...]
     input_shape: Shape
     num_classes: int = 20
@@ -64,77 +150,30 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        shapes = layer_shapes(self)
-        if shapes[-1] != (self.num_classes,):
+        plan = NetworkPlan(self.layers, self.input_shape, self.num_classes)
+        if plan.out_shapes[-1] != (self.num_classes,):
             raise ValueError(
-                f"network emits {shapes[-1]}, expected ({self.num_classes},)")
+                f"network emits {plan.out_shapes[-1]}, expected ({self.num_classes},)")
+        object.__setattr__(self, "plan", plan)
 
 
-@lru_cache(maxsize=None)
 def layer_shapes(spec: NetworkSpec) -> tuple[Shape, ...]:
-    """Output shape after each layer; raises if shapes do not compose."""
-    shape = tuple(spec.input_shape)
-    out = []
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "conv":
-            if len(shape) != 3:
-                raise ValueError(f"layer {i}: conv needs a HxWxC input, got {shape}")
-            h, w, _ = shape
-            ho = (h - layer.kernel) // layer.stride + 1
-            wo = (w - layer.kernel) // layer.stride + 1
-            if ho <= 0 or wo <= 0:
-                raise ValueError(f"layer {i}: kernel {layer.kernel} too large for {shape}")
-            shape = (ho, wo, layer.filters)
-        elif layer.kind == "fc":
-            if len(shape) != 1:
-                raise ValueError(f"layer {i}: fc needs a flat input, got {shape}")
-            shape = (layer.width,)
-        elif layer.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        out.append(shape)
-    return tuple(out)
+    """Output shape after each layer."""
+    return spec.plan.out_shapes
 
 
-@lru_cache(maxsize=None)
-def _param_slices(spec: NetworkSpec) -> tuple[tuple[slice, slice] | None, ...]:
-    """Per layer, the (kernel, bias) slices into the flat weight vector."""
-    shapes = (tuple(spec.input_shape),) + layer_shapes(spec)
-    offset = 0
-    slices: list[tuple[slice, slice] | None] = []
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "conv":
-            cin = shapes[i][2]
-            nw = layer.kernel * layer.kernel * cin * layer.filters
-            nb = layer.filters
-        elif layer.kind == "fc":
-            nw = shapes[i][0] * layer.width
-            nb = layer.width
-        else:
-            slices.append(None)
-            continue
-        slices.append((slice(offset, offset + nw), slice(offset + nw, offset + nw + nb)))
-        offset += nw + nb
-    return tuple(slices)
-
-
-@lru_cache(maxsize=None)
 def param_count(spec: NetworkSpec) -> int:
-    slices = [s for s in _param_slices(spec) if s is not None]
-    return slices[-1][1].stop if slices else 0
+    return spec.plan.param_count
 
 
 def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
     """He-uniform kernels, zero biases, drawn layer by layer."""
-    shapes = (tuple(spec.input_shape),) + layer_shapes(spec)
-    w = np.zeros(param_count(spec))
-    for i, (layer, sl) in enumerate(zip(spec.layers, _param_slices(spec))):
+    plan = spec.plan
+    w = np.zeros(plan.param_count)
+    for kshape, sl in zip(plan.kernel_shapes, plan.slices):
         if sl is None:
             continue
-        if layer.kind == "conv":
-            fan_in = layer.kernel * layer.kernel * shapes[i][2]
-        else:
-            fan_in = shapes[i][0]
-        limit = math.sqrt(6.0 / fan_in)
+        limit = math.sqrt(6.0 / kshape[0])
         wsl, _ = sl
         w[wsl] = rng.uniform(-limit, limit, wsl.stop - wsl.start)
     return w
@@ -145,22 +184,16 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
 DropoutMask = dict[int, np.ndarray]
 
 
-@lru_cache(maxsize=None)
 def dropout_layout(spec: NetworkSpec) -> dict[int, int]:
     """Index -> input width for every layer that draws a dropout mask."""
-    shapes = (tuple(spec.input_shape),) + layer_shapes(spec)
-    return {
-        i: shapes[i][0]
-        for i, layer in enumerate(spec.layers)
-        if layer.dropout_rate > 0.0
-    }
+    return spec.plan.dropout
 
 
 def sample_dropout_mask(spec: NetworkSpec, rng: np.random.Generator,
                         batch: int | None = None) -> DropoutMask:
     """Bernoulli(1 - rate) keep masks for every dropout layer."""
     mask: DropoutMask = {}
-    for i, width in dropout_layout(spec).items():
+    for i, width in spec.plan.dropout.items():
         rate = spec.layers[i].dropout_rate
         shape = (width,) if batch is None else (batch, width)
         mask[i] = (rng.random(shape) >= rate).astype(np.float64)
@@ -170,7 +203,7 @@ def sample_dropout_mask(spec: NetworkSpec, rng: np.random.Generator,
 def _check_mask(spec: NetworkSpec, mask: DropoutMask | None, batch: int) -> None:
     if mask is None:
         return
-    layout = dropout_layout(spec)
+    layout = spec.plan.dropout
     if set(mask) != set(layout):
         raise ValueError(f"mask layers {sorted(mask)} do not match spec layers {sorted(layout)}")
     for i, width in layout.items():
@@ -208,9 +241,38 @@ def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarra
     return dx
 
 
-def _mask_rows(mask: DropoutMask, i: int, batch: int) -> np.ndarray:
-    m = mask[i]
-    return m[None, :] if m.ndim == 1 else m
+def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask | None,
+             stop_after: int | None = None,
+             acts: list | None = None) -> np.ndarray:
+    """The forward loop behind forward_batch and nll_and_grad_batch. With
+    `acts`, appends what backprop needs from each layer: a conv's im2col
+    matrix, the input of an fc (after dropout) or relu layer, and the input
+    shape of a flatten."""
+    plan = spec.plan
+    for i, layer in enumerate(spec.layers):
+        if layer.kind == "conv":
+            wsl, bsl = plan.slices[i]
+            saved = cols = _im2col(x, layer.kernel, layer.stride)
+            b, ho, wo, ck = cols.shape
+            x = (cols.reshape(b * ho * wo, ck) @ w[wsl].reshape(plan.kernel_shapes[i])
+                 + w[bsl]).reshape(b, ho, wo, layer.filters)
+        elif layer.kind == "fc":
+            if mask is not None and i in mask:
+                x = x * mask[i] / (1.0 - layer.dropout_rate)
+            saved = x
+            wsl, bsl = plan.slices[i]
+            x = x @ w[wsl].reshape(plan.kernel_shapes[i]) + w[bsl]
+        elif layer.kind == "relu":
+            saved = x
+            x = np.maximum(x, 0.0)
+        else:  # flatten
+            saved = x.shape
+            x = x.reshape(x.shape[0], -1)
+        if acts is not None:
+            acts.append(saved)
+        if i == stop_after:
+            break
+    return x
 
 
 def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
@@ -219,29 +281,7 @@ def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     """Batched forward pass; x has a leading batch axis. With a mask,
     dropped inputs are zeroed and survivors scaled by 1/(1-rate)."""
     _check_mask(spec, mask, x.shape[0])
-    slices = _param_slices(spec)
-    shapes = (tuple(spec.input_shape),) + layer_shapes(spec)
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "conv":
-            wsl, bsl = slices[i]
-            cin = shapes[i][2]
-            kmat = w[wsl].reshape(layer.kernel * layer.kernel * cin, layer.filters)
-            cols = _im2col(x, layer.kernel, layer.stride)
-            b, ho, wo, _ = cols.shape
-            x = (cols.reshape(b * ho * wo, -1) @ kmat + w[bsl]).reshape(b, ho, wo, layer.filters)
-        elif layer.kind == "fc":
-            if mask is not None and i in mask:
-                x = x * _mask_rows(mask, i, x.shape[0]) / (1.0 - layer.dropout_rate)
-            wsl, bsl = slices[i]
-            kmat = w[wsl].reshape(shapes[i][0], layer.width)
-            x = x @ kmat + w[bsl]
-        elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
-        else:  # flatten
-            x = x.reshape(x.shape[0], -1)
-        if stop_after is not None and i == stop_after:
-            return x
-    return x
+    return _forward(spec, w, x, mask, stop_after)
 
 
 def forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
@@ -289,37 +329,9 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     """
     batch = x.shape[0]
     _check_mask(spec, mask, batch)
-    slices = _param_slices(spec)
-    shapes = (tuple(spec.input_shape),) + layer_shapes(spec)
-
-    # forward, caching each layer input (post-dropout for fc layers)
-    acts: list[np.ndarray] = []
-    cur = x
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "conv":
-            wsl, _ = slices[i]
-            cin = shapes[i][2]
-            kmat = w[wsl].reshape(-1, layer.filters)
-            cols = _im2col(cur, layer.kernel, layer.stride)
-            acts.append(cols)
-            b, ho, wo, _ = cols.shape
-            cur = (cols.reshape(b * ho * wo, -1) @ kmat + w[slices[i][1]]) \
-                .reshape(b, ho, wo, layer.filters)
-        elif layer.kind == "fc":
-            if mask is not None and i in mask:
-                cur = cur * _mask_rows(mask, i, batch) / (1.0 - layer.dropout_rate)
-            acts.append(cur)
-            wsl, bsl = slices[i]
-            kmat = w[wsl].reshape(shapes[i][0], layer.width)
-            cur = cur @ kmat + w[bsl]
-        elif layer.kind == "relu":
-            acts.append(cur)
-            cur = np.maximum(cur, 0.0)
-        else:
-            acts.append(cur.shape)
-            cur = cur.reshape(batch, -1)
-
-    logp = _log_softmax(cur)
+    plan = spec.plan
+    acts: list = []
+    logp = _log_softmax(_forward(spec, w, x, mask, acts=acts))
     rows = np.arange(batch)
     loss = float(-logp[rows, labels].sum())
     dlogits = np.exp(logp)
@@ -333,25 +345,21 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         if layer.kind == "conv":
-            wsl, bsl = slices[i]
+            wsl, bsl = plan.slices[i]
             cols = acts[i]
             b, ho, wo, ck = cols.shape
             dmat = delta.reshape(b * ho * wo, layer.filters)
             grad[bsl] = dmat.sum(axis=0)
             grad[wsl] = (cols.reshape(b * ho * wo, ck).T @ dmat).ravel()
-            kmat = w[wsl].reshape(ck, layer.filters)
-            dcols = (dmat @ kmat.T).reshape(b, ho, wo, ck)
-            in_shape = (batch,) + shapes[i]
-            delta = _col2im(dcols, in_shape, layer.kernel, layer.stride)
+            dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(b, ho, wo, ck)
+            delta = _col2im(dcols, (batch,) + plan.in_shapes[i], layer.kernel, layer.stride)
         elif layer.kind == "fc":
-            wsl, bsl = slices[i]
-            xin = acts[i]
+            wsl, bsl = plan.slices[i]
             grad[bsl] = delta.sum(axis=0)
-            grad[wsl] = (xin.T @ delta).ravel()
-            kmat = w[wsl].reshape(shapes[i][0], layer.width)
-            delta = delta @ kmat.T
+            grad[wsl] = (acts[i].T @ delta).ravel()
+            delta = delta @ w[wsl].reshape(plan.kernel_shapes[i]).T
             if mask is not None and i in mask:
-                delta = delta * _mask_rows(mask, i, batch) / (1.0 - layer.dropout_rate)
+                delta = delta * mask[i] / (1.0 - layer.dropout_rate)
         elif layer.kind == "relu":
             delta = delta * (acts[i] > 0.0)
         else:
@@ -430,31 +438,18 @@ def default_network_spec(num_classes: int = 20) -> NetworkSpec:
     )
 
 
-@lru_cache(maxsize=None)
 def feature_boundary(spec: NetworkSpec) -> int:
     """Index of the first head layer: the layer right after the relu that
     follows the first fc layer."""
-    for i, layer in enumerate(spec.layers):
-        if layer.kind == "fc":
-            if i + 1 >= len(spec.layers) or spec.layers[i + 1].kind != "relu":
-                raise ValueError("first fc layer is not followed by a relu")
-            return i + 2
-    raise ValueError("spec has no fc layer")
+    return spec.plan.feature_boundary
 
 
-@lru_cache(maxsize=None)
 def head_spec(spec: NetworkSpec) -> NetworkSpec:
     """The trailing classification head as a standalone network over the
     feature vector."""
-    b = feature_boundary(spec)
-    feat_dim = layer_shapes(spec)[b - 1][0]
-    return NetworkSpec(spec.layers[b:], (feat_dim,), spec.num_classes)
+    return spec.plan.head_spec
 
 
-@lru_cache(maxsize=None)
 def head_slice(spec: NetworkSpec) -> slice:
     """Slice of the flat weight vector holding the head parameters."""
-    b = feature_boundary(spec)
-    slices = _param_slices(spec)
-    starts = [s[0].start for s in slices[b:] if s is not None]
-    return slice(starts[0] if starts else param_count(spec), param_count(spec))
+    return spec.plan.head_slice

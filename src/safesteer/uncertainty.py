@@ -92,8 +92,8 @@ def predictive(post: bayes.Posterior, features_or_image: np.ndarray, n: int,
         raise ValueError("need n >= 1 samples")
     x = np.asarray(features_or_image)
     if isinstance(post, bayes.McdPosterior):
-        head = nn.head_spec(post.spec)
-        hw = post.weights[nn.head_slice(post.spec)]
+        head = post.spec.plan.head_spec
+        hw = post.weights[post.spec.plan.head_slice]
         if x.ndim == 1:
             feats = x.astype(np.float64)
         else:

@@ -81,6 +81,47 @@ def max_rel_error(a, b, floor=1e-5):
     return float((np.abs(a - b) / denom).max())
 
 
+def project_path_many(path, px, py):
+    """Nearest-point projection of arrays of points onto a path, written
+    from the pieces' fields alone (segment end points; arc center, radius,
+    start angle and signed sweep), every piece against every point.
+    Returns (dist, s, lateral): s is measured from the path start and
+    lateral > 0 is left of the travel direction."""
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
+    per_piece = []
+    offset = 0.0
+    for piece in path.pieces:
+        if hasattr(piece, "radius"):
+            sign = 1.0 if piece.sweep > 0 else -1.0
+            total = abs(piece.sweep)
+            vx, vy = px - piece.cx, py - piece.cy
+            dphi = np.mod(sign * (np.arctan2(vy, vx) - piece.phi0), 2.0 * math.pi)
+            # outside the sweep, the foot is the angularly closer end point
+            dphi = np.where(dphi <= total, dphi,
+                            np.where(dphi - total < 2.0 * math.pi - dphi, total, 0.0))
+            foot = piece.phi0 + sign * dphi
+            dx = vx - piece.radius * np.cos(foot)
+            dy = vy - piece.radius * np.sin(foot)
+            s = dphi * piece.radius
+            lat = sign * (-np.sin(foot) * dy - np.cos(foot) * dx)
+            length = piece.radius * total
+        else:
+            length = math.hypot(piece.x1 - piece.x0, piece.y1 - piece.y0)
+            ux = (piece.x1 - piece.x0) / length
+            uy = (piece.y1 - piece.y0) / length
+            rx, ry = px - piece.x0, py - piece.y0
+            s = np.clip(rx * ux + ry * uy, 0.0, length)
+            dx, dy = rx - s * ux, ry - s * uy
+            lat = ux * dy - uy * dx
+        per_piece.append((np.hypot(dx, dy), offset + s, lat))
+        offset += length
+    dist, sval, lat = (np.stack(cols) for cols in zip(*per_piece))
+    pick = np.argmin(dist, axis=0)
+    rows = np.arange(px.size)
+    return dist[pick, rows], sval[pick, rows], lat[pick, rows]
+
+
 def sample_rect_points(rect, spacing=0.05):
     """Grid + boundary + corner points of an oriented rectangle, in world
     coordinates."""

@@ -97,7 +97,7 @@ def test_train_mcd_rejects_empty():
 def test_extract_features_zero_image_zero_biases():
     spec = nn.default_network_spec(2)
     w = nn.init_weights(spec, np.random.default_rng(0))  # biases start at zero
-    post = bayes.McdPosterior(spec, w, (0.1, 0.08, 0.08))
+    post = bayes.McdPosterior(spec, w)
     feats = bayes.extract_features(post, np.zeros((48, 64), dtype=np.uint8))
     assert feats.shape == (64,)
     assert np.all(feats == 0.0)
@@ -106,7 +106,7 @@ def test_extract_features_zero_image_zero_biases():
 def test_extract_features_dim_and_purity():
     spec = nn.default_network_spec(20)
     w = nn.init_weights(spec, np.random.default_rng(1))
-    post = bayes.McdPosterior(spec, w, (0.1, 0.08, 0.08))
+    post = bayes.McdPosterior(spec, w)
     img = np.random.default_rng(2).integers(0, 256, (48, 64)).astype(np.uint8)
     a = bayes.extract_features(post, img)
     assert a.shape == (64,)
@@ -117,7 +117,7 @@ def test_extract_features_matches_naive_oracle():
     spec = nn.default_network_spec(2)
     rng = np.random.default_rng(3)
     w = nn.init_weights(spec, rng)
-    post = bayes.McdPosterior(spec, w, (0.1, 0.08, 0.08))
+    post = bayes.McdPosterior(spec, w)
     img = rng.integers(0, 256, (48, 64)).astype(np.uint8)
     feats = bayes.extract_features(post, img)
     boundary = nn.feature_boundary(spec)
@@ -129,8 +129,7 @@ def test_extract_features_matches_naive_oracle():
 
 def test_extract_features_rejects_bad_shape():
     spec = nn.default_network_spec(2)
-    post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)),
-                              (0.1, 0.08, 0.08))
+    post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
     with pytest.raises(ValueError):
         bayes.extract_features(post, np.zeros((10, 10), dtype=np.uint8))
 
@@ -376,8 +375,7 @@ def test_sample_weights_vi_mean_concentration():
 
 def test_sample_weights_mcd_masks():
     spec = nn.default_network_spec(2)
-    post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)),
-                              (0.1, 0.08, 0.08))
+    post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
     masks = bayes.sample_weights(post, 3, np.random.default_rng(1))
     assert len(masks) == 3
     for m in masks:

@@ -1,7 +1,10 @@
 import csv
+import gc
 import json
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,11 @@ def run_cli(*args):
 
 def read_bytes(path):
     return Path(path).read_bytes()
+
+
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +72,26 @@ def test_dataset_round_trip(tmp_path):
     assert back.scenario == ds.scenario and back.seed == ds.seed
 
 
+def test_read_dataset_closes_labels_file(tmp_path):
+    ds = ImageDataset(np.zeros((2, 48, 64), dtype=np.uint8), np.array([0, 1]),
+                      "straight_obstacle", 1, np.zeros(2))
+    io.write_dataset(ds, tmp_path / "d")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        io.read_dataset(tmp_path / "d")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("content", ["", "index,class,steering,scenario,seed\n"])
+def test_read_dataset_rejects_empty_labels(tmp_path, content):
+    (tmp_path / "labels.csv").write_text(content)
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
+        io.read_dataset(tmp_path)
+
+
 def test_collect_rows_match_images(dataset_dir):
-    rows = list(csv.DictReader(open(dataset_dir / "labels.csv")))
+    rows = read_rows(dataset_dir / "labels.csv")
     images = sorted(dataset_dir.glob("*.pgm"))
     assert len(rows) == len(images) > 0
     assert all(0 <= int(r["class"]) < 20 for r in rows)
@@ -94,6 +120,19 @@ def test_model_save_load_save_byte_identical(tmp_path, mcd_model):
     assert model.method == "mcd"
     assert model.metadata["train_accuracy"] >= 0.0
     assert model.mcd.weights.dtype == np.float64
+
+
+def test_load_model_rejects_dropout_rates_that_disagree(tmp_path, mcd_model):
+    doc = json.loads(read_bytes(mcd_model))
+    assert doc["dropout_rates"] == [0.1, 0.08, 0.08]
+    doc["dropout_rates"] = [0.5, 0.08, 0.08]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        io.load_model(tampered)
+    msg = str(err.value)
+    assert str(tampered) in msg
+    assert "(0.5, 0.08, 0.08)" in msg and "(0.1, 0.08, 0.08)" in msg
 
 
 def test_train_vi_requires_mcd_model(dataset_dir, tmp_path):
@@ -129,7 +168,7 @@ def test_drive_unmonitored_empty_confidence_columns(mcd_model, tmp_path):
     out = tmp_path / "traj.csv"
     assert run_cli("drive", "--model", str(mcd_model), "--scenario",
                    "straight_obstacle", "--seed", "4", "--out", str(out)) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert rows
     assert all(r["eta2"] == "" and r["mi"] == "" and r["warning"] == "" for r in rows)
     outcomes = {r["outcome"] for r in rows}
@@ -143,7 +182,7 @@ def test_drive_monitored_columns_and_determinism(mcd_model, tmp_path):
                        "straight_obstacle", "--weather", "rain", "--monitor",
                        "--seed", "4", "--out", str(out)) == 0
     assert read_bytes(a) == read_bytes(b)
-    rows = list(csv.DictReader(open(a)))
+    rows = read_rows(a)
     assert all(r["warning"] in ("", "W0", "W1", "W2") for r in rows)
     assert any(r["eta2"] != "" for r in rows)
     for r in rows:
@@ -170,7 +209,7 @@ def test_eval_safety_report_structure(mcd_model, tmp_path):
                  + est["out_of_bounds_count"] + est["error_count"])
         assert total == est["n"] == 4
         assert est["autonomy_rate"] == 1.0 - est["handover_count"] / est["n"]
-    rows = list(csv.DictReader(open(log)))
+    rows = read_rows(log)
     assert rows
     steps = [int(r["step"]) for r in rows if r["episode"] == "0"]
     assert steps == sorted(steps)

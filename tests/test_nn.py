@@ -1,9 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from safesteer import nn
+from safesteer import bayes, io, nn, uncertainty
 from oracles import central_diff, max_rel_error, naive_forward
 
 
@@ -290,3 +291,37 @@ def test_spec_rejects_bad_compositions():
         nn.NetworkSpec((nn.conv(2, 5, 1), nn.flatten(), nn.fc(2)), (3, 3, 1), 2)
     with pytest.raises(ValueError):
         nn.LayerSpec("fc", width=4, dropout_rate=1.0)
+
+
+def _refuse_hash(self):
+    raise AssertionError("a NetworkSpec was hashed")
+
+
+def test_network_plan_is_read_without_hashing_the_spec(monkeypatch):
+    monkeypatch.setattr(nn.NetworkSpec, "__hash__", _refuse_hash)
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(0)
+    w = nn.init_weights(spec, rng)
+    x = rng.random((2,) + spec.input_shape)
+    mask = nn.sample_dropout_mask(spec, rng, batch=2)
+    assert nn.forward_batch(spec, w, x, mask).shape == (2, 20)
+    _, grad = nn.nll_and_grad_batch(spec, w, x, np.array([3, 7]), mask)
+    assert grad.shape == w.shape
+    mcd = bayes.McdPosterior(spec, w)
+    feats = bayes.extract_features(mcd, rng.integers(0, 256, (48, 64)).astype(np.uint8))
+    head = nn.head_spec(spec)
+    hw = bayes.head_weights(mcd)
+    for post in (mcd, bayes.ViPosterior(head, hw, np.full(hw.size, -3.0)),
+                 bayes.HmcPosterior(head, (hw, 0.9 * hw))):
+        pred = uncertainty.predictive(post, feats, 32, rng)
+        assert pred.per_sample_probs.shape == (32, 20)
+    assert bayes.Prior(1.0).param_sigmas(head).shape == (nn.param_count(head),)
+    copies = (pickle.loads(pickle.dumps(spec)), io._spec_from_dict(io._spec_to_dict(spec)))
+    for copy in copies:
+        assert copy == spec
+        assert nn.param_count(copy) == nn.param_count(spec)
+        assert nn.head_slice(copy) == nn.head_slice(spec)
+    monkeypatch.undo()
+    # the plan is not part of the spec's identity
+    assert all(hash(copy) == hash(spec) for copy in copies)
+    assert "plan" not in repr(spec)
