@@ -47,6 +47,8 @@ class McdPosterior:
     def __post_init__(self):
         if self.weights.shape != (nn.param_count(self.spec),):
             raise ValueError("weight vector does not match the network")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("MCD weights must be finite")
 
     @property
     def rates(self) -> tuple[float, ...]:
@@ -64,6 +66,8 @@ class ViPosterior:
         n = nn.param_count(self.head)
         if self.mu.shape != (n,) or self.rho.shape != (n,):
             raise ValueError("mu/rho length does not match the head")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.rho).all()):
+            raise ValueError("VI mu and rho must be finite")
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,11 @@ class HmcPosterior:
     def __post_init__(self):
         if not self.samples:
             raise ValueError("HMC posterior needs at least one sample")
+        n = nn.param_count(self.head)
+        if any(s.shape != (n,) for s in self.samples):
+            raise ValueError(f"every HMC sample must have the head's {n} parameters")
+        if not all(np.isfinite(s).all() for s in self.samples):
+            raise ValueError("HMC samples must be finite")
 
 
 Posterior = McdPosterior | ViPosterior | HmcPosterior

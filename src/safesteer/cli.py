@@ -163,14 +163,11 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
             controller = _controller(model, cfg, with_confidence=monitored)
             monitor = sim.MonitorPolicy(cfg.slow_factor) if monitored else None
             est = statcheck.estimate_probabilistic_safety(
-                scenario, controller, monitor, spec, cfg.seed, jobs=cfg.jobs)
-            warning_steps = {"W0": 0, "W1": 0, "W2": 0}
-            for i in range(min(cfg.log_episodes, n)):
-                path = sim.run_episode(scenario, controller, monitor, seed=[cfg.seed, i])
-                logged_paths.append(path)
-                for rec in path.records:
-                    if rec.warning in warning_steps:
-                        warning_steps[rec.warning] += 1
+                scenario, controller, monitor, spec, cfg.seed, jobs=cfg.jobs,
+                log_episodes=cfg.log_episodes)
+            logged_paths.extend(est.logged)
+            warning_steps = {w: sum(rec.warning == w for p in est.logged for rec in p.records)
+                             for w in ("W0", "W1", "W2")}
             cells.append({
                 "method": model.method,
                 "scenario": cfg.scenario,

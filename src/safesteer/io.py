@@ -147,28 +147,32 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format_version {doc.get('format_version')}")
-    spec = _spec_from_dict(doc["network"])
-    weights = np.asarray(doc["weights"], dtype=np.float64)
-    mcd = bayes.McdPosterior(spec, weights)
-    if tuple(doc["dropout_rates"]) != mcd.rates:
-        raise ValueError(f"{path}: dropout_rates {tuple(doc['dropout_rates'])} disagree "
-                         f"with the network's {mcd.rates}")
-    method = doc["method"]
-    head = nn.head_spec(spec)
-    posterior: bayes.Posterior
-    if method == "mcd":
-        posterior = mcd
-    elif method == "vi":
-        posterior = bayes.ViPosterior(head,
-                                      np.asarray(doc["vi"]["mu"]),
-                                      np.asarray(doc["vi"]["rho"]))
-    elif method == "hmc":
-        posterior = bayes.HmcPosterior(
-            head, tuple(np.asarray(s) for s in doc["hmc"]["samples"]))
-    else:
-        raise ValueError(f"{path}: unknown method {method!r}")
+    try:
+        if doc.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported format_version {doc.get('format_version')}")
+        spec = _spec_from_dict(doc["network"])
+        weights = np.asarray(doc["weights"], dtype=np.float64)
+        mcd = bayes.McdPosterior(spec, weights)
+        if tuple(doc["dropout_rates"]) != mcd.rates:
+            raise ValueError(f"dropout_rates {tuple(doc['dropout_rates'])} disagree "
+                             f"with the network's {mcd.rates}")
+        method = doc["method"]
+        head = nn.head_spec(spec)
+        posterior: bayes.Posterior
+        if method == "mcd":
+            posterior = mcd
+        elif method == "vi":
+            posterior = bayes.ViPosterior(head, np.asarray(doc["vi"]["mu"]),
+                                          np.asarray(doc["vi"]["rho"]))
+        elif method == "hmc":
+            posterior = bayes.HmcPosterior(
+                head, tuple(np.asarray(s) for s in doc["hmc"]["samples"]))
+        else:
+            raise ValueError(f"unknown method {method!r}")
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return TrainedModel(method, mcd, posterior, doc.get("metadata", {}))
 
 

@@ -336,18 +336,13 @@ HANDOVER_TIERS = ("W0", "W2")
 class MonitorPolicy:
     """Maps warnings to actions. The first warning of an episode alerts the
     operator and slows the car to slow_factor of nominal, whatever its tier,
-    so one noisy confidence estimate cannot stop the car. Once the operator
-    is alerted, a W0 or W2 warning (HANDOVER_TIERS) latches a braking stop
-    and hands control over, while a W1 warning keeps the car slow and lets
-    it drive on. Slowing alone cannot keep a car on the road once its
-    steering has gone wrong: path curvature per metre does not depend on
-    speed. With latch_slowdown the reduced speed persists once the operator
-    has been alerted; without escalation_gate a W0 or W2 warning brakes even
-    before the alert."""
+    so one noisy confidence estimate cannot stop the car; it stays slow from
+    then on. Once alerted, a W0 or W2 warning (HANDOVER_TIERS) latches a
+    braking stop and hands control over; a W1 warning lets it drive on.
+    Slowing alone cannot keep a car on the road once its steering has gone
+    wrong: path curvature per metre does not depend on speed."""
 
     slow_factor: float = 0.5
-    latch_slowdown: bool = True
-    escalation_gate: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.slow_factor <= 1.0:
@@ -365,6 +360,8 @@ class StepRecord:
 
 
 OUTCOMES = ("completed", "collided", "out_of_bounds", "handover", "error")
+# No violation in the whole run (a handover stop before any violation is safe)
+SAFE_OUTCOMES = ("completed", "handover")
 
 
 @dataclass(frozen=True)
@@ -376,9 +373,7 @@ class EpisodePath:
 
     @property
     def safe(self) -> bool:
-        """Safe for the whole run: no violation occurred (a handover stop
-        before any violation counts as safe)."""
-        return self.outcome in ("completed", "handover")
+        return self.outcome in SAFE_OUTCOMES
 
 
 def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | None = None,
@@ -414,11 +409,11 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
         if monitor is not None:
             if report is None:
                 raise ValueError("monitored episodes need a confidence-reporting controller")
-            if warning in HANDOVER_TIERS and (alerted or not monitor.escalation_gate):
+            if alerted and warning in HANDOVER_TIERS:
                 braking = True
             if braking:
                 speed_cmd = 0.0
-            elif warning is not None or (alerted and monitor.latch_slowdown):
+            elif warning is not None or alerted:
                 speed_cmd = monitor.slow_factor * scenario.nominal_speed
             else:
                 speed_cmd = scenario.nominal_speed

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,23 +45,7 @@ class SafetyEstimate:
     out_of_bounds_count: int
     error_count: int
     autonomy_rate: float
-
-
-def _outcome_counts(outcomes: list[str], spec: PrecisionSpec) -> SafetyEstimate:
-    n = len(outcomes)
-    safe = sum(1 for o in outcomes if o in ("completed", "handover"))
-    handover = outcomes.count("handover")
-    return SafetyEstimate(
-        eta_hat=safe / n,
-        n=n,
-        spec=spec,
-        safe_count=safe,
-        handover_count=handover,
-        collision_count=outcomes.count("collided"),
-        out_of_bounds_count=outcomes.count("out_of_bounds"),
-        error_count=outcomes.count("error"),
-        autonomy_rate=1.0 - handover / n,
-    )
+    logged: tuple[sim.EpisodePath, ...] = field(default=(), repr=False)
 
 
 def estimate_bernoulli(trial, spec: PrecisionSpec, master_seed) -> tuple[float, int]:
@@ -79,11 +63,6 @@ def _seed_key(seed) -> list[int]:
     return list(seed) if isinstance(seed, (list, tuple)) else [seed]
 
 
-def _run_indexed_episode(scenario, controller, monitor, master_seed, idx):
-    path = sim.run_episode(scenario, controller, monitor, seed=[*_seed_key(master_seed), idx])
-    return idx, path.outcome
-
-
 # The cell a pool worker runs episodes of, set once when the worker starts
 _worker_cell = ()
 
@@ -93,30 +72,47 @@ def _set_worker_cell(*cell):
     _worker_cell = cell
 
 
-def _run_worker_episode(idx):
-    return _run_indexed_episode(*_worker_cell, idx)
+def _run_episode(idx, cell=None):
+    """Episode idx of a cell (by default the pool worker's): its path if it
+    is logged, else its outcome."""
+    scenario, controller, monitor, master_seed, log_episodes = cell or _worker_cell
+    path = sim.run_episode(scenario, controller, monitor, seed=[*_seed_key(master_seed), idx])
+    return path if idx < log_episodes else path.outcome
 
 
 def estimate_probabilistic_safety(scenario: sim.ScenarioConfig, controller,
                                   monitor: sim.MonitorPolicy | None,
                                   spec: PrecisionSpec, master_seed,
-                                  jobs: int = 1) -> SafetyEstimate:
-    """Run the Chernoff-planned number of episodes with per-index seeds and
-    count safe runs. Episode failures count as unsafe (reported separately).
-    Results merge by index, so the estimate is independent of jobs. Pool
-    workers receive the controller once, when they start, and then only
-    episode indices."""
+                                  jobs: int = 1, log_episodes: int = 0) -> SafetyEstimate:
+    """Run the Chernoff-planned number n of episodes and count safe runs.
+    The Chernoff bound assumes n i.i.d. Bernoulli trials: every index i has
+    its own seed [*master_seed, i], from which `sim.run_episode` spawns the
+    episode's SeedSequence child streams; scenario, controller and monitor
+    are the same for all n indices; each outcome is safe (sim.SAFE_OUTCOMES)
+    or not, and an episode that raises counts as unsafe (and as an error).
+    Results merge in index order, so the estimate is independent of jobs.
+    Pool workers receive the cell once, when they start, and then only
+    episode indices. The first min(log_episodes, n) episodes of this
+    certified batch come back as `logged` paths, in index order."""
     n = chernoff_sample_size(spec)
-    cell = (scenario, controller, monitor, master_seed)
+    k = min(max(log_episodes, 0), n)
+    cell = (scenario, controller, monitor, master_seed, k)
     if jobs > 1:
         chunk = max(1, n // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_cell,
                                  initargs=cell) as pool:
-            results = list(pool.map(_run_worker_episode, range(n), chunksize=chunk))
+            results = list(pool.map(_run_episode, range(n), chunksize=chunk))
     else:
-        results = [_run_indexed_episode(*cell, i) for i in range(n)]
-    results.sort(key=lambda pair: pair[0])
-    return _outcome_counts([outcome for _, outcome in results], spec)
+        results = [_run_episode(i, cell) for i in range(n)]
+    logged = tuple(results[:k])
+    outcomes = [p.outcome for p in logged] + results[k:]
+    count = {o: outcomes.count(o) for o in sim.OUTCOMES}
+    safe = sum(count[o] for o in sim.SAFE_OUTCOMES)
+    return SafetyEstimate(
+        eta_hat=safe / n, n=n, spec=spec, safe_count=safe,
+        handover_count=count["handover"], collision_count=count["collided"],
+        out_of_bounds_count=count["out_of_bounds"], error_count=count["error"],
+        autonomy_rate=1.0 - count["handover"] / n, logged=logged)
 
 
 def estimate_decision_confidence_offline(posterior: bayes.Posterior,

@@ -142,8 +142,6 @@ def mutual_information(pred: PredictiveDistribution) -> float:
     return max(mi, 0.0)
 
 
-WARNING_SEVERITY = {None: 0, "W0": 1, "W1": 2, "W2": 3}
-
 # The published mutual-information warning threshold is 0.45 with the log
 # base unstated; entropies in this codebase are natural-log, and the BALD
 # convention is bits, so the deployed default converts 0.45 bits to nats.

@@ -342,6 +342,34 @@ def test_train_hmc_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# posterior validation
+
+def test_hmc_posterior_rejects_sample_of_wrong_length():
+    head = smooth_head()
+    n = nn.param_count(head)
+    with pytest.raises(ValueError, match=f"{n} parameters"):
+        bayes.HmcPosterior(head, (np.zeros(n), np.zeros(n - 1)))
+    with pytest.raises(ValueError, match=f"{n} parameters"):
+        bayes.HmcPosterior(head, (np.zeros((1, n)),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_posteriors_reject_non_finite_values(bad):
+    head = smooth_head()
+    n = nn.param_count(head)
+    spoiled = np.zeros(n)
+    spoiled[n // 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bayes.McdPosterior(head, spoiled)
+    with pytest.raises(ValueError, match="finite"):
+        bayes.ViPosterior(head, spoiled, np.zeros(n))
+    with pytest.raises(ValueError, match="finite"):
+        bayes.ViPosterior(head, np.zeros(n), spoiled)
+    with pytest.raises(ValueError, match="finite"):
+        bayes.HmcPosterior(head, (np.zeros(n), spoiled))
+
+
+# ---------------------------------------------------------------------------
 # posterior sampling
 
 def test_sample_weights_vi_degenerate():

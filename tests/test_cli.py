@@ -135,6 +135,29 @@ def test_load_model_rejects_dropout_rates_that_disagree(tmp_path, mcd_model):
     assert "(0.5, 0.08, 0.08)" in msg and "(0.1, 0.08, 0.08)" in msg
 
 
+@pytest.mark.parametrize("key", ["weights", "network", "vi", "hmc"])
+def test_load_model_names_file_and_missing_key(tmp_path, mcd_model, key):
+    doc = json.loads(read_bytes(mcd_model))
+    doc.pop(key, None)
+    if key in ("vi", "hmc"):
+        doc["method"] = key
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        io.load_model(tampered)
+    assert str(tampered) in str(err.value) and repr(key) in str(err.value)
+
+
+def test_load_model_names_file_of_non_finite_weights(tmp_path, mcd_model):
+    doc = json.loads(read_bytes(mcd_model))
+    doc["weights"][3] = float("nan")
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="finite") as err:
+        io.load_model(tampered)
+    assert str(tampered) in str(err.value)
+
+
 def test_train_vi_requires_mcd_model(dataset_dir, tmp_path):
     code = run_cli("train", "--method", "vi", "--dataset", str(dataset_dir),
                    "--out", str(tmp_path / "vi.json"))
@@ -226,6 +249,24 @@ def test_eval_safety_deterministic(mcd_model, tmp_path):
                        "--report", str(report), "--log", str(log)) == 0
         outs.append((read_bytes(report), read_bytes(log)))
     assert outs[0] == outs[1]
+
+
+def test_eval_safety_logs_are_independent_of_jobs(mcd_model, tmp_path):
+    outs = []
+    for jobs in ("1", "2"):
+        report = tmp_path / f"r{jobs}.json"
+        log = tmp_path / f"l{jobs}.csv"
+        assert run_cli("eval-safety", "--model", str(mcd_model), "--scenario",
+                       "straight_obstacle", "--theta", "0.45", "--gamma", "0.5",
+                       "--weathers", "rain", "--with-monitor", "--seed", "2",
+                       "--log-episodes", "2", "--jobs", jobs,
+                       "--report", str(report), "--log", str(log)) == 0
+        doc = json.loads(report.read_text())
+        assert doc["config"].pop("jobs") == int(jobs)  # the echo of the flag itself
+        outs.append((doc, read_bytes(log)))
+    assert outs[0] == outs[1]
+    rows = read_rows(tmp_path / "l1.csv")
+    assert {r["episode"] for r in rows} == {"0", "1", "2", "3"}  # 2 cells x 2 episodes
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,29 @@ def test_safety_independent_of_jobs():
     assert a == b
 
 
+def test_safety_logs_the_first_episodes_of_the_certified_batch():
+    scn = sim.straight_obstacle_scenario(weather="rain")
+    ctrl = ScriptedController(0.0, eta2=0.65, warning="W1")
+    mon = sim.MonitorPolicy()
+    expect = tuple(sim.run_episode(scn, ctrl, mon, seed=[7, i]) for i in range(2))
+    for jobs in (1, 2):
+        est = estimate_probabilistic_safety(scn, ctrl, mon, FAST_SPEC, master_seed=7,
+                                            jobs=jobs, log_episodes=2)
+        assert est.logged == expect
+
+
+def test_safety_logged_episodes_clamp_to_n_and_default_to_none():
+    scn = sim.straight_obstacle_scenario(disturbances=QUIET)
+    ctrl = ScriptedController(0.0)
+    est = estimate_probabilistic_safety(scn, ctrl, None, FAST_SPEC, master_seed=[4, 1],
+                                        log_episodes=10)
+    assert [p.seed for p in est.logged] == [[4, 1, i] for i in range(est.n)]
+    assert [p.outcome for p in est.logged].count("collided") == est.collision_count
+    default = estimate_probabilistic_safety(scn, ctrl, None, FAST_SPEC, master_seed=[4, 1])
+    assert default.logged == ()
+    assert "logged" not in repr(est)
+
+
 def test_safety_deterministic():
     scn = sim.straight_obstacle_scenario()
     a = estimate_probabilistic_safety(scn, sim.AutopilotController(), None,

@@ -215,7 +215,7 @@ def test_warning_rejects_bad_thresholds():
 
 
 def test_warning_monotone():
-    sev = uncertainty.WARNING_SEVERITY
+    sev = {None: 0, "W0": 1, "W1": 2, "W2": 3}
     etas = np.linspace(0, 1, 21)
     mis = np.linspace(0, 1, 11)
     for mi in mis:
