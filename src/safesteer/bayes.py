@@ -348,9 +348,11 @@ def effective_sample_size(x: np.ndarray) -> float:
     return n / tau
 
 
-def sample_weights(post: Posterior, n: int, rng: np.random.Generator) -> list:
-    """Draw n head weight samples (for MCD: n dropout masks over the full
-    network, to be applied to the fixed weights)."""
+def sample_weights(post: Posterior, n: int,
+                   rng: np.random.Generator) -> np.ndarray | list[nn.DropoutMask]:
+    """Draw n head weight samples as an (n, param_count) array, one sample
+    per row (for MCD: a list of n dropout masks over the full network, to
+    be applied to the fixed weights)."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     if isinstance(post, McdPosterior):
@@ -358,8 +360,8 @@ def sample_weights(post: Posterior, n: int, rng: np.random.Generator) -> list:
     if isinstance(post, ViPosterior):
         sigma = np.exp(post.rho)
         zeta = rng.standard_normal((n, post.mu.size))
-        return [post.mu + sigma * z for z in zeta]
+        return post.mu + sigma * zeta
     if isinstance(post, HmcPosterior):
         idx = rng.integers(0, len(post.samples), size=n)
-        return [post.samples[i] for i in idx]
+        return np.stack([post.samples[i] for i in idx])
     raise TypeError(f"unknown posterior {type(post)!r}")

@@ -2,7 +2,9 @@
 inference methods, safety evaluation across weather grids, monitored drives,
 and sample-size planning.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success, 1 runtime failure (including a run whose episodes
+ended in "error" because the controller raised), 2 usage or validation
+error (including a malformed model file).
 """
 
 from __future__ import annotations
@@ -157,6 +159,7 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
     monitor_options = [False, True] if args.with_monitor else [False]
     cells = []
     logged_paths = []
+    errors = []
     for weather in cfg.weathers:
         scenario = sim.scenario_by_name(cfg.scenario, weather=weather)
         for monitored in monitor_options:
@@ -176,9 +179,12 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
                 "estimate": io.estimate_to_dict(est),
                 "warning_steps_logged": warning_steps,
             })
-            print(f"{model.method} {cfg.scenario} {weather} "
-                  f"monitor={'on' if monitored else 'off'}: "
-                  f"eta_hat={est.eta_hat:.4f} autonomy={est.autonomy_rate:.4f} (n={n})")
+            label = (f"{model.method} {cfg.scenario} {weather} "
+                     f"monitor={'on' if monitored else 'off'}")
+            print(f"{label}: eta_hat={est.eta_hat:.4f} autonomy={est.autonomy_rate:.4f} (n={n})")
+            if est.error_count:
+                first = next((f" (first logged: {p.error})" for p in est.logged if p.error), "")
+                errors.append(f"{label}: {est.error_count} of {n} episodes raised{first}")
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     config_echo["weathers"] = list(cfg.weathers)
     io.write_summary_report(args.report, config_echo, spec, n, cells)
@@ -186,7 +192,9 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
     with open(args.log, "w", newline="") as fh:
         io.write_trajectory(logged_paths, scenario.dt, fh)
     print(f"wrote {args.report} and {args.log}")
-    return 0
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def cmd_drive(args, cfg: RunConfig) -> int:
@@ -198,6 +206,9 @@ def cmd_drive(args, cfg: RunConfig) -> int:
     with open(args.out, "w", newline="") as fh:
         io.write_trajectory([path], scenario.dt, fh)
     print(f"outcome={path.outcome} steps={len(path.records)} -> {args.out}")
+    if path.outcome == "error":
+        print(f"error: the controller raised {path.error}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -289,6 +300,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args, cfg)
+    except io.ModelFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -144,10 +144,18 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+class ModelFileError(ValueError):
+    """A model file that cannot be read as a model: bad JSON, a missing key
+    or a value that fails validation. The message names the file."""
+
+
 def load_model(path) -> TrainedModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a model file; raises ModelFileError if it is malformed."""
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {doc.get('format_version')}")
         spec = _spec_from_dict(doc["network"])
@@ -170,9 +178,9 @@ def load_model(path) -> TrainedModel:
         else:
             raise ValueError(f"unknown method {method!r}")
     except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ModelFileError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
+        raise ModelFileError(f"{path}: {exc}") from None
     return TrainedModel(method, mcd, posterior, doc.get("metadata", {}))
 
 

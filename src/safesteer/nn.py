@@ -244,10 +244,11 @@ def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarra
 def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask | None,
              stop_after: int | None = None,
              acts: list | None = None) -> np.ndarray:
-    """The forward loop behind forward_batch and nll_and_grad_batch. With
-    `acts`, appends what backprop needs from each layer: a conv's im2col
-    matrix, the input of an fc (after dropout) or relu layer, and the input
-    shape of a flatten."""
+    """The forward loop behind forward_batch and nll_and_grad_batch. `w` is
+    one flat weight vector, or (fc-only specs) a stack of them, one per row
+    of `x`. With `acts`, appends what backprop needs from each layer: a
+    conv's im2col matrix, the input of an fc (after dropout) or relu layer,
+    and the input shape of a flatten."""
     plan = spec.plan
     for i, layer in enumerate(spec.layers):
         if layer.kind == "conv":
@@ -261,7 +262,11 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
                 x = x * mask[i] / (1.0 - layer.dropout_rate)
             saved = x
             wsl, bsl = plan.slices[i]
-            x = x @ w[wsl].reshape(plan.kernel_shapes[i]) + w[bsl]
+            if w.ndim == 1:
+                x = x @ w[wsl].reshape(plan.kernel_shapes[i]) + w[bsl]
+            else:  # one weight row per input row
+                kern = w[:, wsl].reshape((w.shape[0],) + plan.kernel_shapes[i])
+                x = (x[:, None, :] @ kern)[:, 0, :] + w[:, bsl]
         elif layer.kind == "relu":
             saved = x
             x = np.maximum(x, 0.0)
@@ -278,9 +283,17 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
 def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
                   mask: DropoutMask | None = None,
                   stop_after: int | None = None) -> np.ndarray:
-    """Batched forward pass; x has a leading batch axis. With a mask,
+    """Batched forward pass; x has a leading batch axis. `w` is one flat
+    weight vector shared by every row, or a (batch, param_count) stack
+    that pairs weight row b with input row b (fc-only specs). With a mask,
     dropped inputs are zeroed and survivors scaled by 1/(1-rate)."""
     _check_mask(spec, mask, x.shape[0])
+    if w.ndim != 1:
+        if any(layer.kind == "conv" for layer in spec.layers):
+            raise ValueError("stacked weights need a spec without conv layers")
+        if w.shape != (x.shape[0], spec.plan.param_count):
+            raise ValueError(f"stacked weights have shape {w.shape}, expected "
+                             f"({x.shape[0]}, {spec.plan.param_count})")
     return _forward(spec, w, x, mask, stop_after)
 
 
@@ -327,6 +340,8 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     The loss here is the floor-free -log softmax(logits)[label] (computed
     via logsumexp), summed or averaged over the batch.
     """
+    if w.ndim != 1:
+        raise ValueError("nll_and_grad_batch takes one flat weight vector")
     batch = x.shape[0]
     _check_mask(spec, mask, batch)
     plan = spec.plan

@@ -370,6 +370,7 @@ class EpisodePath:
     outcome: str
     seed: object
     observations: tuple[np.ndarray, ...] | None = None
+    error: str | None = None  # "<type>: <message>" of an "error" outcome
 
     @property
     def safe(self) -> bool:
@@ -393,6 +394,7 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     records: list[StepRecord] = []
     frames: list[np.ndarray] = []
     outcome = "completed"
+    error = None
     braking = False
     alerted = False
     for k in range(scenario.horizon + 1):
@@ -401,9 +403,10 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
             frames.append(obs)
         try:
             steering, report = controller.act(obs, state, scenario, rng_ctrl)
-        except Exception:
+        except Exception as exc:
             records.append(StepRecord(k, state, 0.0, 0.0, None, None))
             outcome = "error"
+            error = f"{type(exc).__name__}: {exc}"
             break
         warning = report.warning if report is not None else None
         if monitor is not None:
@@ -434,7 +437,7 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
         if scenario.centerline.project(state.x, state.y)[1] >= scenario.centerline.length - 1.0:
             break
     return EpisodePath(tuple(records), outcome, seed,
-                       tuple(frames) if keep_observations else None)
+                       tuple(frames) if keep_observations else None, error)
 
 
 def collect_dataset(scenario: ScenarioConfig, episodes: int, seed: int = 0,

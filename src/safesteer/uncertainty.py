@@ -86,8 +86,10 @@ class ConfidenceReport:
 
 def predictive(post: bayes.Posterior, features_or_image: np.ndarray, n: int,
                rng: np.random.Generator) -> PredictiveDistribution:
-    """Forward + softmax under n posterior weight samples. MCD accepts a raw
-    image or a precomputed feature vector; VI/HMC take features."""
+    """Forward + softmax under n posterior weight samples, as one head pass
+    over n rows (MCD: n dropout masks on the fixed weights; VI/HMC: one
+    weight sample per row). MCD accepts a raw image or a precomputed
+    feature vector; VI/HMC take features."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     x = np.asarray(features_or_image)
@@ -105,7 +107,7 @@ def predictive(post: bayes.Posterior, features_or_image: np.ndarray, n: int,
         if x.ndim != 1:
             raise ValueError("VI/HMC predictive needs a feature vector")
         draws = bayes.sample_weights(post, n, rng)
-        logits = np.stack([nn.forward_batch(post.head, w, x[None])[0] for w in draws])
+        logits = nn.forward_batch(post.head, draws, np.broadcast_to(x, (n, x.size)))
     else:
         raise TypeError(f"unknown posterior {type(post)!r}")
     return PredictiveDistribution.from_samples(nn.softmax(logits))

@@ -3,7 +3,9 @@
 Nothing here may call back into the package's compute paths: the forward
 oracle walks the documented weight layout (per layer: kernel then bias;
 conv kernels (k, k, Cin, F) row-major, fc matrices (in, out) row-major)
-with plain nested loops.
+with plain nested loops. The one exception is `predictive_per_sample`,
+the reference for the stacked VI/HMC head pass: it runs the package's
+single-weight-vector forward once per sample.
 """
 
 import math
@@ -173,3 +175,26 @@ def leapfrog_harmonic(q0, p0, eps, steps):
             p -= eps * q
     p -= 0.5 * eps * q
     return q, p
+
+
+def sample_weights_per_row(post, n, rng):
+    """n VI or HMC head weight samples, one vector at a time, drawing from
+    rng in the package's order: VI takes one (n, P) standard-normal block
+    and sets row i to mu + exp(rho) * z_i; HMC takes n uniform indices into
+    the stored samples."""
+    if hasattr(post, "mu"):
+        sigma = np.exp(post.rho)
+        return [post.mu + sigma * z for z in rng.standard_normal((n, post.mu.size))]
+    return [post.samples[i] for i in rng.integers(0, len(post.samples), size=n)]
+
+
+def predictive_per_sample(post, x, n, rng):
+    """(n, K) softmax rows of a VI or HMC head, one batch-1
+    `nn.forward_batch` call on a flat weight vector per sample."""
+    from safesteer import nn
+
+    logits = np.stack([nn.forward_batch(post.head, w, x[None])[0]
+                       for w in sample_weights_per_row(post, n, rng)])
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)

@@ -5,7 +5,8 @@ import pytest
 
 from safesteer import bayes, nn
 from safesteer.datasets import FeatureDataset, ImageDataset
-from oracles import central_diff, leapfrog_harmonic, max_rel_error, naive_forward
+from oracles import (central_diff, leapfrog_harmonic, max_rel_error, naive_forward,
+                     sample_weights_per_row)
 
 PRIOR = bayes.Prior(1.0)
 
@@ -399,6 +400,20 @@ def test_sample_weights_vi_mean_concentration():
     draws = np.stack(bayes.sample_weights(post, 100_000, np.random.default_rng(0)))
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - mu) <= 3.0 * se)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_sample_weights_vi_and_hmc_stack_the_per_row_draws(n):
+    head = relu_head()
+    p = nn.param_count(head)
+    rng = np.random.default_rng(n)
+    vi = bayes.ViPosterior(head, rng.normal(0, 1, p), rng.normal(-1.0, 0.5, p))
+    hmc = bayes.HmcPosterior(head, tuple(rng.normal(0, 1, p) for _ in range(5)))
+    for post in (vi, hmc):
+        draws = bayes.sample_weights(post, n, np.random.default_rng([n, 1]))
+        assert isinstance(draws, np.ndarray) and draws.shape == (n, p)
+        want = np.stack(sample_weights_per_row(post, n, np.random.default_rng([n, 1])))
+        assert draws.tobytes() == want.tobytes()
 
 
 def test_sample_weights_mcd_masks():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safesteer import bayes, io, nn, sim
+from safesteer import bayes, cli, io, nn, sim
 from safesteer.cli import main
 from safesteer.datasets import ImageDataset
 
@@ -156,6 +156,79 @@ def test_load_model_names_file_of_non_finite_weights(tmp_path, mcd_model):
     with pytest.raises(ValueError, match="finite") as err:
         io.load_model(tampered)
     assert str(tampered) in str(err.value)
+
+
+def hmc_model_doc(mcd_model):
+    """The MCD model file turned into an HMC one with two head samples."""
+    doc = json.loads(read_bytes(mcd_model))
+    spec = io._spec_from_dict(doc["network"])
+    head_w = doc["weights"][nn.head_slice(spec)]
+    doc["method"] = "hmc"
+    doc["hmc"] = {"samples": [head_w, head_w]}
+    return doc
+
+
+EVAL_ARGS = ("--scenario", "straight_obstacle", "--theta", "0.45", "--gamma", "0.5",
+             "--weathers", "clear", "--with-monitor", "--seed", "2")
+
+
+@pytest.mark.parametrize("fault", ["missing-hmc-key", "short-sample", "hmc-not-an-object",
+                                   "not-a-json-object", "truncated-json"])
+def test_eval_safety_exits_2_on_a_malformed_model_file(tmp_path, mcd_model, fault, capsys):
+    doc = hmc_model_doc(mcd_model)
+    if fault == "missing-hmc-key":
+        del doc["hmc"]
+    elif fault == "short-sample":
+        doc["hmc"]["samples"][1] = doc["hmc"]["samples"][1][:-1]
+    elif fault == "hmc-not-an-object":
+        doc["hmc"] = doc["hmc"]["samples"]
+    elif fault == "not-a-json-object":
+        doc = [doc]
+    text = json.dumps(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[:100] if fault == "truncated-json" else text)
+    report = tmp_path / "report.json"
+    assert run_cli("eval-safety", "--model", str(bad), *EVAL_ARGS, "--report", str(report),
+                   "--log", str(tmp_path / "log.csv")) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_a_runtime_value_error_still_exits_1(tmp_path, mcd_model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("not a model-file problem")
+
+    monkeypatch.setattr(cli, "_controller", refuse)
+    assert run_cli("eval-safety", "--model", str(mcd_model), *EVAL_ARGS,
+                   "--report", str(tmp_path / "r.json"), "--log", str(tmp_path / "l.csv")) == 1
+
+
+class RaisingController:
+    def act(self, obs, state, scenario, rng):
+        raise RuntimeError("head exploded")
+
+
+def test_eval_safety_exits_1_and_names_cells_whose_episodes_raised(
+        tmp_path, mcd_model, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_controller", lambda *args, **kwargs: RaisingController())
+    report, log = tmp_path / "report.json", tmp_path / "log.csv"
+    assert run_cli("eval-safety", "--model", str(mcd_model), *EVAL_ARGS,
+                   "--log-episodes", "1", "--report", str(report), "--log", str(log)) == 1
+    err = capsys.readouterr().err
+    for monitor in ("off", "on"):
+        assert (f"mcd straight_obstacle clear monitor={monitor}: 4 of 4 episodes raised "
+                "(first logged: RuntimeError: head exploded)") in err
+    doc = json.loads(report.read_text())  # the report and log are still written
+    assert [cell["estimate"]["error_count"] for cell in doc["cells"]] == [4, 4]
+    assert {r["outcome"] for r in read_rows(log)} == {"error"}
+
+
+def test_drive_exits_1_when_the_controller_raises(tmp_path, mcd_model, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_controller", lambda *args, **kwargs: RaisingController())
+    out = tmp_path / "traj.csv"
+    assert run_cli("drive", "--model", str(mcd_model), "--seed", "4", "--out", str(out)) == 1
+    assert "RuntimeError: head exploded" in capsys.readouterr().err
+    assert [r["outcome"] for r in read_rows(out)] == ["error"]
 
 
 def test_train_vi_requires_mcd_model(dataset_dir, tmp_path):

@@ -117,6 +117,42 @@ def test_inverted_dropout_expectation_single_linear_layer():
 
 
 # ---------------------------------------------------------------------------
+# stacked weights: one weight row per input row
+
+@pytest.mark.parametrize("spec", [nn.head_spec(nn.default_network_spec()),
+                                  nn.NetworkSpec((nn.fc(5), nn.relu(), nn.fc(3)), (4,), 3)],
+                         ids=["default-head", "small"])
+def test_stacked_forward_batch_equals_per_row_calls(spec):
+    rng = np.random.default_rng(12)
+    rows = 9
+    w = rng.normal(0, 0.3, (rows, nn.param_count(spec)))
+    x = rng.normal(0, 1, (rows,) + spec.input_shape)
+    got = nn.forward_batch(spec, w, x)
+    want = np.stack([nn.forward_batch(spec, w[b], x[b:b + 1])[0] for b in range(rows)])
+    assert got.tobytes() == want.tobytes()
+    # a broadcast input row, as the predictive passes it
+    shared = np.broadcast_to(x[0], x.shape)
+    want = np.stack([nn.forward_batch(spec, w[b], x[:1])[0] for b in range(rows)])
+    assert nn.forward_batch(spec, w, shared).tobytes() == want.tobytes()
+
+
+def test_stacked_weights_rejected_on_conv_spec_and_row_mismatch():
+    spec = nn.default_network_spec()
+    x = np.zeros((2,) + spec.input_shape)
+    with pytest.raises(ValueError, match="conv"):
+        nn.forward_batch(spec, np.zeros((2, nn.param_count(spec))), x)
+    head = nn.head_spec(spec)
+    p = nn.param_count(head)
+    feats = np.zeros((3,) + head.input_shape)
+    with pytest.raises(ValueError, match="stacked weights have shape"):
+        nn.forward_batch(head, np.zeros((2, p)), feats)
+    with pytest.raises(ValueError, match="stacked weights have shape"):
+        nn.forward_batch(head, np.zeros((3, p - 1)), feats)
+    with pytest.raises(ValueError, match="one flat weight vector"):
+        nn.nll_and_grad_batch(head, np.zeros((3, p)), feats, np.zeros(3, dtype=int))
+
+
+# ---------------------------------------------------------------------------
 # softmax / cross entropy
 
 def test_softmax_symmetry():

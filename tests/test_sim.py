@@ -291,6 +291,8 @@ def test_episode_error_outcome():
     scn = straight_road()
     path = sim.run_episode(scn, FailingController(), None, seed=0)
     assert path.outcome == "error"
+    assert path.error == "RuntimeError: sensor died"
+    assert sim.run_episode(scn, ConstantController(0.0), None, seed=0).error is None
 
 
 def test_episode_deterministic_including_observations():

@@ -8,6 +8,7 @@ from safesteer.uncertainty import (Binning, Decision, PredictiveDistribution,
                                    bin_center, classify_warning, decide,
                                    decision_confidence, mutual_information,
                                    predictive, steering_to_class)
+from oracles import predictive_per_sample
 
 BINS = Binning()
 
@@ -80,6 +81,47 @@ def test_predictive_hmc_single_stored_sample():
     post = bayes.HmcPosterior(head, (w,))
     pred = predictive(post, np.array([0.1, 0.2, 0.3]), 12, np.random.default_rng(7))
     assert np.all(pred.per_sample_probs == pred.per_sample_probs[0])
+
+
+def stacked_pass_posterior(kind, head, seed):
+    rng = np.random.default_rng(seed)
+    p = nn.param_count(head)
+    if kind == "vi":
+        return bayes.ViPosterior(head, rng.normal(0, 0.3, p), rng.normal(-2.0, 0.5, p))
+    return bayes.HmcPosterior(head, tuple(rng.normal(0, 0.3, p) for _ in range(40)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+@pytest.mark.parametrize("head_name", ["default", "tiny"])
+@pytest.mark.parametrize("kind", ["vi", "hmc"])
+def test_predictive_stacked_pass_matches_per_sample_loop(kind, head_name, n):
+    head = nn.head_spec(nn.default_network_spec()) if head_name == "default" else tiny_head()
+    post = stacked_pass_posterior(kind, head, n)
+    x = np.random.default_rng([n, 1]).normal(0, 1, head.input_shape[0])
+    pred = predictive(post, x, n, np.random.default_rng([n, 2]))
+    want = predictive_per_sample(post, x, n, np.random.default_rng([n, 2]))
+    assert pred.per_sample_probs.tobytes() == want.tobytes()
+    assert pred.mean_probs.tobytes() == want.mean(axis=0).tobytes()
+
+
+def test_predictive_makes_one_head_call_per_decision(monkeypatch):
+    calls = []
+    original = nn.forward_batch
+
+    def counted(spec, w, x, *args, **kwargs):
+        calls.append(x.shape[0])
+        return original(spec, w, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward_batch", counted)
+    spec = nn.default_network_spec()
+    head = nn.head_spec(spec)
+    feats = np.random.default_rng(0).normal(0, 1, head.input_shape[0])
+    mcd = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(1)))
+    for post in (mcd, stacked_pass_posterior("vi", head, 2),
+                 stacked_pass_posterior("hmc", head, 3)):
+        calls.clear()
+        predictive(post, feats, 32, np.random.default_rng(4))
+        assert calls == [32]
 
 
 # ---------------------------------------------------------------------------
