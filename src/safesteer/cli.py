@@ -3,8 +3,8 @@ inference methods, safety evaluation across weather grids, monitored drives,
 and sample-size planning.
 
 Exit codes: 0 success, 1 runtime failure (including a run whose episodes
-ended in "error" because the controller raised), 2 usage or validation
-error (including a malformed model file).
+ended in "error" because the controller raised or the start pose was
+unsafe), 2 usage or validation error (including a malformed model file).
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def cmd_drive(args, cfg: RunConfig) -> int:
         io.write_trajectory([path], scenario.dt, fh)
     print(f"outcome={path.outcome} steps={len(path.records)} -> {args.out}")
     if path.outcome == "error":
-        print(f"error: the controller raised {path.error}", file=sys.stderr)
+        print(f"error: the episode ended in error ({path.error})", file=sys.stderr)
         return 1
     return 0
 

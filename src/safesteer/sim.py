@@ -202,31 +202,49 @@ def _pixel_rays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _RAY_X, _RAY_Y, _RAY_Z = _pixel_rays()
 
+# Pose-invariant ray tables. Turning the car about z rotates only each ray's
+# x/y components, so whether a ray meets the ground, the ray parameter
+# t_ground at which it does, and its horizontal reach t_ground * |(x, y)|
+# (inf for rays at or above the horizon) do not depend on the pose.
+_GROUND_IDX = np.flatnonzero(_RAY_Z < -1e-12)
+_GROUND_X, _GROUND_Y = _RAY_X[_GROUND_IDX], _RAY_Y[_GROUND_IDX]
+_T_GROUND = np.full(_RAY_Z.shape, np.inf)
+_T_GROUND[_GROUND_IDX] = -CAMERA_HEIGHT / _RAY_Z[_GROUND_IDX]
+_GROUND_T = _T_GROUND[_GROUND_IDX]
+# The same rays ordered by reach, farthest first, for the obstacle pass
+_REACH = _T_GROUND * np.hypot(_RAY_X, _RAY_Y)
+_BY_REACH = np.argsort(-_REACH, kind="stable")
+_NEG_REACH = -_REACH[_BY_REACH]  # ascending, for searchsorted
+_REACH_X, _REACH_Y, _REACH_Z, _REACH_T = (
+    a[_BY_REACH] for a in (_RAY_X, _RAY_Y, _RAY_Z, _T_GROUND))
+
 
 def render(state: VehicleState, scenario: ScenarioConfig) -> np.ndarray:
     """Rasterize the forward view: pinhole ground-plane projection of the
-    corridor plus the obstacle as an upright box. Returns (48, 64) uint8."""
+    corridor plus the obstacle as an upright box. Returns (48, 64) uint8.
+
+    The ground set, t_ground and each ray's horizontal reach are module
+    tables (pose-invariant, see above); per frame only the ground rays are
+    rotated. The slab test runs only on the rays whose reach is at least
+    the camera's distance to the obstacle footprint. That prune is exact:
+    a hit needs tmin < t_ground with the entry point inside the footprint,
+    so the hit lies nearer than the ray's reach and no nearer than the
+    footprint. A margin far above rounding keeps the boundary rays in."""
     c, s = math.cos(state.heading), math.sin(state.heading)
     cam_x = state.x + CAMERA_FORWARD * c
     cam_y = state.y + CAMERA_FORWARD * s
-    dxw = c * _RAY_X - s * _RAY_Y
-    dyw = s * _RAY_X + c * _RAY_Y
-    dzw = _RAY_Z
+    img = np.full(IMG_H * IMG_W, SKY, dtype=np.uint8)
 
-    ground = dzw < -1e-12
-    t_ground = np.where(ground, -CAMERA_HEIGHT / np.where(ground, dzw, -1.0), np.inf)
-    gx = cam_x + t_ground * dxw
-    gy = cam_y + t_ground * dyw
+    gx = cam_x + _GROUND_T * (c * _GROUND_X - s * _GROUND_Y)
+    gy = cam_y + _GROUND_T * (s * _GROUND_X + c * _GROUND_Y)
     rel_x, rel_y = gx - cam_x, gy - cam_y
-    visible = ground & (rel_x * rel_x + rel_y * rel_y <= VIEW_RANGE ** 2)
-
-    img = np.full(IMG_H * IMG_W, SKY, dtype=np.float64)
+    visible = rel_x * rel_x + rel_y * rel_y <= VIEW_RANGE ** 2
     if visible.any():
         d2 = scenario.centerline.distance_sq_many(gx[visible], gy[visible])
         hw = scenario.corridor_half_width
         shade = np.where(d2 <= (hw - MARK_BAND) ** 2, ROAD,
                          np.where(d2 <= hw * hw, MARKING, OFFROAD))
-        img[visible] = shade
+        img[_GROUND_IDX[visible]] = shade
 
     obs = scenario.obstacle
     if obs is not None:
@@ -234,35 +252,55 @@ def render(state: VehicleState, scenario: ScenarioConfig) -> np.ndarray:
         # rays in the obstacle frame (origin at footprint center, z up)
         ox = co * (cam_x - obs.x) + so * (cam_y - obs.y)
         oy = -so * (cam_x - obs.x) + co * (cam_y - obs.y)
-        rdx = co * dxw + so * dyw
-        rdy = -so * dxw + co * dyw
-        tmin = np.zeros_like(dxw)
-        tmax = np.full_like(dxw, np.inf)
-        for origin, d, half_lo, half_hi in (
-                (ox, rdx, -obs.length / 2.0, obs.length / 2.0),
-                (oy, rdy, -obs.width / 2.0, obs.width / 2.0),
-                (CAMERA_HEIGHT, dzw, 0.0, obs.height)):
-            parallel = np.abs(d) < 1e-12
-            safe_d = np.where(parallel, 1.0, d)
-            t1 = (half_lo - origin) / safe_d
-            t2 = (half_hi - origin) / safe_d
-            near = np.minimum(t1, t2)
-            far = np.maximum(t1, t2)
-            inside_slab = (origin >= half_lo) & (origin <= half_hi)
-            near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
-            far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
-            tmin = np.maximum(tmin, near)
-            tmax = np.minimum(tmax, far)
-        hit = (tmax >= tmin) & (tmin > 1e-9) & (tmin < t_ground)
-        img[hit] = OBSTACLE_COLOR
+        dmin = math.hypot(max(abs(ox) - obs.length / 2.0, 0.0),
+                          max(abs(oy) - obs.width / 2.0, 0.0))
+        n = int(np.searchsorted(_NEG_REACH, -(dmin - 1e-6 * (1.0 + dmin)), side="right"))
+        ray_x, ray_y = _REACH_X[:n], _REACH_Y[:n]
+        dxw = c * ray_x - s * ray_y
+        dyw = s * ray_x + c * ray_y
+        # one row per slab: obstacle-frame x, y and world z
+        d = np.empty((3, n))
+        d[0] = co * dxw + so * dyw
+        d[1] = -so * dxw + co * dyw
+        d[2] = _REACH_Z[:n]
+        origin = np.array([[ox], [oy], [CAMERA_HEIGHT]])
+        half_lo = np.array([[-obs.length / 2.0], [-obs.width / 2.0], [0.0]])
+        half_hi = np.array([[obs.length / 2.0], [obs.width / 2.0], [obs.height]])
+        parallel = np.abs(d) < 1e-12
+        safe_d = np.where(parallel, 1.0, d)
+        t1 = (half_lo - origin) / safe_d
+        t2 = (half_hi - origin) / safe_d
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2)
+        inside_slab = (origin >= half_lo) & (origin <= half_hi)
+        near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
+        far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
+        tmin = np.maximum(near.max(axis=0), 0.0)
+        tmax = far.min(axis=0)
+        hit = (tmax >= tmin) & (tmin > 1e-9) & (tmin < _REACH_T[:n])
+        img[_BY_REACH[:n][hit]] = OBSTACLE_COLOR
 
-    return img.reshape(IMG_H, IMG_W).astype(np.uint8)
+    return img.reshape(IMG_H, IMG_W)
+
+
+# Droplet window offsets around floor(center). With r = floor of the largest
+# semi-axis, a pixel that passes the ellipse test lies within these 2r + 2
+# offsets on each axis, and every pixel outside them is at least r + 1 (more
+# than the largest semi-axis) from the center, so the test fails there by a
+# wide margin. Windows are painted on a canvas padded by the window size on
+# every side, so that cells off the image land in the padding.
+_DROP_OFFSETS = np.arange(-int(DROPLET_RADIUS[1]), int(DROPLET_RADIUS[1]) + 2)
+_DROP_PAD = _DROP_OFFSETS.size
 
 
 def apply_weather(img: np.ndarray, weather: WeatherModel,
                   rng: np.random.Generator) -> np.ndarray:
     """Contrast/brightness shift, additive Gaussian noise, and bright
-    droplet speckles; output clamped to [0, 255]."""
+    droplet speckles; output clamped to [0, 255]. Each droplet's ellipse
+    test runs on its own square window of pixels (see _DROP_OFFSETS)
+    instead of the whole frame. The windows are max-scattered onto a
+    padded canvas (exact in any order) whose image part then caps the
+    frame from below, as the full-frame test did; the draws are the same."""
     out = weather.contrast_gain * (img.astype(np.float64) - 128.0) + 128.0
     out += weather.brightness_offset
     if weather.noise_sigma > 0:
@@ -276,10 +314,18 @@ def apply_weather(img: np.ndarray, weather: WeatherModel,
         drops = rng.uniform(lo, hi, (rng.poisson(weather.droplet_rate), 5))
         if len(drops):
             cx, cy, ax, ay, val = drops.T[:, :, None, None]
-            inside = (((np.arange(w) - cx) / ax) ** 2
-                      + ((np.arange(h)[:, None] - cy) / ay) ** 2 <= 1.0)
-            np.maximum(out, np.where(inside, val, -np.inf).max(axis=0), out=out)
-    return np.clip(np.rint(out), 0.0, 255.0).astype(np.uint8)
+            x = np.floor(cx) + _DROP_OFFSETS            # (D, 1, win)
+            y = np.floor(cy) + _DROP_OFFSETS[:, None]   # (D, win, 1)
+            inside = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 <= 1.0
+            wp = w + 2 * _DROP_PAD
+            canvas = np.full((h + 2 * _DROP_PAD, wp), -np.inf)
+            cell = ((y + _DROP_PAD) * wp + (x + _DROP_PAD)).astype(np.intp)
+            np.maximum.at(canvas.reshape(-1), cell.ravel(),
+                          np.where(inside, val, -np.inf).ravel())
+            np.maximum(out, canvas[_DROP_PAD:_DROP_PAD + h, _DROP_PAD:_DROP_PAD + w],
+                       out=out)
+    np.rint(out, out=out)
+    return np.clip(out, 0.0, 255.0, out=out).astype(np.uint8)
 
 
 def car_rect(state: VehicleState) -> Rect:
@@ -287,9 +333,18 @@ def car_rect(state: VehicleState) -> Rect:
 
 
 def hits_obstacle(state: VehicleState, scenario: ScenarioConfig) -> bool:
-    if scenario.obstacle is None:
+    """Footprint overlap with the obstacle. Each rectangle lies inside the
+    circle through its corners, so centres farther apart than the two
+    half-diagonals (plus a margin far above rounding) cannot overlap, and
+    the separating-axis test runs only on nearer pairs."""
+    obs = scenario.obstacle
+    if obs is None:
         return False
-    return rects_overlap(car_rect(state), scenario.obstacle.rect())
+    reach = 0.5 * (math.hypot(CAR_LENGTH, CAR_WIDTH) + math.hypot(obs.length, obs.width)) + 1e-6
+    dx, dy = state.x - obs.x, state.y - obs.y
+    if dx * dx + dy * dy > reach * reach:
+        return False
+    return rects_overlap(car_rect(state), obs.rect())
 
 
 def is_safe(state: VehicleState, scenario: ScenarioConfig) -> bool:
@@ -370,7 +425,10 @@ class EpisodePath:
     outcome: str
     seed: object
     observations: tuple[np.ndarray, ...] | None = None
-    error: str | None = None  # "<type>: <message>" of an "error" outcome
+    # why an "error" outcome ended the episode: "<type>: <message>" of the
+    # controller's exception, or "unsafe start pose: ..." for a jittered
+    # start outside the safe set
+    error: str | None = None
 
     @property
     def safe(self) -> bool:
@@ -381,7 +439,9 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
                 seed=0, keep_observations: bool = False) -> EpisodePath:
     """Drive one monitored or unmonitored episode. Deterministic given
     (scenario, controller, seed): disturbances, weather and controller
-    sampling each own a child stream of the seed."""
+    sampling each own a child stream of the seed. A jittered start pose
+    outside the safe set is an "error" outcome, not a violation of the
+    controller's."""
     ss = np.random.SeedSequence(seed)
     rng_init, rng_weather, rng_ctrl, rng_noise = map(np.random.default_rng, ss.spawn(4))
     weather = WEATHER_PRESETS[scenario.weather]
@@ -390,6 +450,12 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     jitter = rng_init.normal(0.0, scenario.disturbances.lateral_jitter_std)
     state = VehicleState(x0 - jitter * math.sin(h0), y0 + jitter * math.cos(h0),
                          h0, scenario.nominal_speed)
+    if not is_safe(state, scenario):
+        # a bad scenario, not a safety violation of the controller's
+        return EpisodePath((StepRecord(0, state, 0.0, 0.0, None, None),), "error", seed,
+                           () if keep_observations else None,
+                           f"unsafe start pose: x={state.x!r} y={state.y!r} "
+                           f"heading={state.heading!r}")
 
     records: list[StepRecord] = []
     frames: list[np.ndarray] = []

@@ -3,14 +3,26 @@
 Nothing here may call back into the package's compute paths: the forward
 oracle walks the documented weight layout (per layer: kernel then bias;
 conv kernels (k, k, Cin, F) row-major, fc matrices (in, out) row-major)
-with plain nested loops. The one exception is `predictive_per_sample`,
-the reference for the stacked VI/HMC head pass: it runs the package's
-single-weight-vector forward once per sample.
+with plain nested loops. The exceptions are `predictive_per_sample`,
+the reference for the stacked VI/HMC head pass, which runs the package's
+single-weight-vector forward once per sample, and the camera references
+`render_reference` and `apply_weather_reference`. Those are the
+full-frame camera and weather stages kept as they were before the
+pose-invariant ray tables and the windowed droplets: they read the
+simulator's constants and call `Path.distance_sq_many` for the ground
+shading.
 """
 
 import math
 
 import numpy as np
+
+from safesteer.sim import (CAMERA_FORWARD, CAMERA_HEIGHT, DROPLET_BRIGHTNESS,
+                           DROPLET_RADIUS, IMG_H, IMG_W, MARK_BAND, MARKING,
+                           OBSTACLE_COLOR, OFFROAD, ROAD, SKY, VIEW_RANGE,
+                           _pixel_rays)
+
+_RAY_X, _RAY_Y, _RAY_Z = _pixel_rays()
 
 
 def naive_forward(spec, w, x, mask=None):
@@ -198,3 +210,81 @@ def predictive_per_sample(post, x, n, rng):
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def render_reference(state, scenario):
+    """Rasterize the forward view: pinhole ground-plane projection of the
+    corridor plus the obstacle as an upright box. Returns (48, 64) uint8."""
+    c, s = math.cos(state.heading), math.sin(state.heading)
+    cam_x = state.x + CAMERA_FORWARD * c
+    cam_y = state.y + CAMERA_FORWARD * s
+    dxw = c * _RAY_X - s * _RAY_Y
+    dyw = s * _RAY_X + c * _RAY_Y
+    dzw = _RAY_Z
+
+    ground = dzw < -1e-12
+    t_ground = np.where(ground, -CAMERA_HEIGHT / np.where(ground, dzw, -1.0), np.inf)
+    gx = cam_x + t_ground * dxw
+    gy = cam_y + t_ground * dyw
+    rel_x, rel_y = gx - cam_x, gy - cam_y
+    visible = ground & (rel_x * rel_x + rel_y * rel_y <= VIEW_RANGE ** 2)
+
+    img = np.full(IMG_H * IMG_W, SKY, dtype=np.float64)
+    if visible.any():
+        d2 = scenario.centerline.distance_sq_many(gx[visible], gy[visible])
+        hw = scenario.corridor_half_width
+        shade = np.where(d2 <= (hw - MARK_BAND) ** 2, ROAD,
+                         np.where(d2 <= hw * hw, MARKING, OFFROAD))
+        img[visible] = shade
+
+    obs = scenario.obstacle
+    if obs is not None:
+        co, so = math.cos(obs.heading), math.sin(obs.heading)
+        # rays in the obstacle frame (origin at footprint center, z up)
+        ox = co * (cam_x - obs.x) + so * (cam_y - obs.y)
+        oy = -so * (cam_x - obs.x) + co * (cam_y - obs.y)
+        rdx = co * dxw + so * dyw
+        rdy = -so * dxw + co * dyw
+        tmin = np.zeros_like(dxw)
+        tmax = np.full_like(dxw, np.inf)
+        for origin, d, half_lo, half_hi in (
+                (ox, rdx, -obs.length / 2.0, obs.length / 2.0),
+                (oy, rdy, -obs.width / 2.0, obs.width / 2.0),
+                (CAMERA_HEIGHT, dzw, 0.0, obs.height)):
+            parallel = np.abs(d) < 1e-12
+            safe_d = np.where(parallel, 1.0, d)
+            t1 = (half_lo - origin) / safe_d
+            t2 = (half_hi - origin) / safe_d
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2)
+            inside_slab = (origin >= half_lo) & (origin <= half_hi)
+            near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
+            far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
+            tmin = np.maximum(tmin, near)
+            tmax = np.minimum(tmax, far)
+        hit = (tmax >= tmin) & (tmin > 1e-9) & (tmin < t_ground)
+        img[hit] = OBSTACLE_COLOR
+
+    return img.reshape(IMG_H, IMG_W).astype(np.uint8)
+
+
+def apply_weather_reference(img, weather, rng):
+    """Contrast/brightness shift, additive Gaussian noise, and bright
+    droplet speckles; output clamped to [0, 255]."""
+    out = weather.contrast_gain * (img.astype(np.float64) - 128.0) + 128.0
+    out += weather.brightness_offset
+    if weather.noise_sigma > 0:
+        out += rng.normal(0.0, weather.noise_sigma, img.shape)
+    if weather.droplet_rate > 0:
+        h, w = img.shape
+        # per droplet: center x, center y, semi-axes x and y, brightness,
+        # drawn droplet by droplet in that order
+        lo = (0.0, 0.0, DROPLET_RADIUS[0], DROPLET_RADIUS[0], DROPLET_BRIGHTNESS[0])
+        hi = (w, h, DROPLET_RADIUS[1], DROPLET_RADIUS[1], DROPLET_BRIGHTNESS[1])
+        drops = rng.uniform(lo, hi, (rng.poisson(weather.droplet_rate), 5))
+        if len(drops):
+            cx, cy, ax, ay, val = drops.T[:, :, None, None]
+            inside = (((np.arange(w) - cx) / ax) ** 2
+                      + ((np.arange(h)[:, None] - cy) / ay) ** 2 <= 1.0)
+            np.maximum(out, np.where(inside, val, -np.inf).max(axis=0), out=out)
+    return np.clip(np.rint(out), 0.0, 255.0).astype(np.uint8)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import apply_weather_reference, render_reference
 from safesteer import sim
-from safesteer.geometry import PathBuilder, wrap_angle
+from safesteer.geometry import PathBuilder, rects_overlap, wrap_angle
 from safesteer.uncertainty import ConfidenceReport, steering_to_class
 
 QUIET = sim.Disturbances(lateral_jitter_std=0.0, steering_noise_std=0.0)
@@ -156,6 +157,84 @@ def test_render_deterministic():
     assert np.array_equal(sim.render(st, scn), sim.render(st, scn))
 
 
+def _camera_pose(cam_x, cam_y, heading):
+    """Vehicle state whose camera sits at (cam_x, cam_y)."""
+    return sim.VehicleState(cam_x - sim.CAMERA_FORWARD * math.cos(heading),
+                            cam_y - sim.CAMERA_FORWARD * math.sin(heading),
+                            wrap_angle(heading), 8.0)
+
+
+def _obstacle_point(obs, lx, ly):
+    """World point at (lx, ly) in the obstacle's footprint frame."""
+    c, s = math.cos(obs.heading), math.sin(obs.heading)
+    return obs.x + c * lx - s * ly, obs.y + s * lx + c * ly
+
+
+def _render_cases():
+    """(scenario, state) pairs: random poses on both scenarios and around
+    obstacles with zero and non-zero heading, plus constructed edge cases."""
+    rng = np.random.default_rng(61)
+    straight = sim.straight_obstacle_scenario()
+    roundabout = sim.roundabout_scenario()
+    tilted = dataclasses.replace(
+        straight, obstacle=sim.Obstacle(x=30.0, y=0.7, heading=0.7, length=5.0, width=2.2))
+    round_obs = dataclasses.replace(
+        roundabout, obstacle=sim.Obstacle(x=22.0, y=12.0, heading=-2.3, height=0.9))
+    cases = []
+    for scn, lo, hi in ((straight, (-10.0, -6.0), (140.0, 6.0)),
+                        (roundabout, (-10.0, -6.0), (40.0, 40.0)),
+                        (tilted, (-10.0, -6.0), (140.0, 6.0)),
+                        (round_obs, (-10.0, -6.0), (40.0, 40.0))):
+        for _ in range(700):
+            x, y = rng.uniform(lo, hi)
+            cases.append((scn, sim.VehicleState(x, y, rng.uniform(-math.pi, math.pi), 8.0)))
+    for scn in (straight, tilted, round_obs):
+        obs = scn.obstacle
+        hl, hw = obs.length / 2.0, obs.width / 2.0
+        ground = np.flatnonzero(np.isfinite(sim._REACH))
+        for _ in range(200):
+            # a ground ray aimed square at the near face, with the camera at
+            # that ray's reach from the face: the ray meets the ground on the
+            # face's bottom edge, which is also where the prune cuts off
+            k = rng.choice(ground)
+            reach = sim._REACH[k] * (1.0 + rng.choice([-1e-9, 0.0, 1e-9]))
+            heading = obs.heading - math.atan2(sim._RAY_Y[k], sim._RAY_X[k])
+            cam = _obstacle_point(obs, -hl - reach, rng.uniform(-hw, hw))
+            cases.append((scn, _camera_pose(*cam, heading)))
+            # the camera on a side face's plane, looking along that face or
+            # at the near corner of the other side
+            ly = rng.choice([-hw, hw])
+            gap = rng.uniform(0.5, 30.0)
+            cam = _obstacle_point(obs, -hl - gap, ly)
+            at = obs.heading + rng.choice([0.0, math.atan2(-2.0 * ly, gap)])
+            cases.append((scn, _camera_pose(*cam, at)))
+            # the obstacle around the 80 m edge of the rendered ground
+            dist = sim.VIEW_RANGE + rng.uniform(-5.0, 5.0)
+            bearing = rng.uniform(-0.3, 0.3)
+            cam = _obstacle_point(obs, -dist * math.cos(bearing), -dist * math.sin(bearing))
+            cases.append((scn, _camera_pose(*cam, obs.heading + bearing + rng.normal(0.0, 0.1))))
+            # the camera inside the footprint
+            cam = _obstacle_point(obs, rng.uniform(-hl, hl), rng.uniform(-hw, hw))
+            cases.append((scn, _camera_pose(*cam, rng.uniform(-math.pi, math.pi))))
+            # the obstacle behind the camera
+            cam = _obstacle_point(obs, hl + rng.uniform(0.0, 20.0), rng.uniform(-3.0, 3.0))
+            cases.append((scn, _camera_pose(*cam, obs.heading + rng.uniform(-1.2, 1.2))))
+    return cases
+
+
+def test_render_matches_full_frame_reference_bytes():
+    cases = _render_cases()
+    assert len(cases) >= 5000
+    hits = 0
+    for scn, state in cases:
+        img = sim.render(state, scn)
+        ref = render_reference(state, scn)
+        assert img.shape == ref.shape and img.dtype == ref.dtype == np.uint8
+        assert img.tobytes() == ref.tobytes(), (scn.kind, scn.obstacle, state)
+        hits += bool((img == sim.OBSTACLE_COLOR).any())
+    assert hits >= 1000  # the obstacle is in view in a good share of the cases
+
+
 # ---------------------------------------------------------------------------
 # weather
 
@@ -194,6 +273,32 @@ def test_weather_droplets_brighten():
     assert out.max() >= 190
 
 
+DROPLETS_ONLY = sim.WeatherModel(droplet_rate=30.0)
+
+
+@pytest.mark.parametrize("weather", [*sim.WEATHER_PRESETS.values(), DROPLETS_ONLY])
+def test_apply_weather_matches_full_frame_reference_bytes_and_draws(weather):
+    frames = [sim.render(sim.VehicleState(x, 0.3, 0.05, 8.0), sim.straight_obstacle_scenario())
+              for x in (0.0, 25.0, 40.0)]
+    frames.append((np.arange(48 * 64) % 256).astype(np.uint8).reshape(48, 64))
+    frames.append(np.zeros((48, 64), dtype=np.uint8))
+    frames.append(np.zeros((9, 13), dtype=np.uint8))  # every droplet clipped
+    borders = np.zeros(4, dtype=int)
+    for seed in range(300):
+        img = frames[seed % len(frames)]
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = sim.apply_weather(img, weather, rng)
+        ref = apply_weather_reference(img, weather, ref_rng)
+        assert out.dtype == ref.dtype == np.uint8
+        assert out.tobytes() == ref.tobytes(), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+        if img.shape == (48, 64) and not img.any():
+            lit = out >= sim.DROPLET_BRIGHTNESS[0]  # droplet pixels on a black frame
+            borders += [lit[0].any(), lit[-1].any(), lit[:, 0].any(), lit[:, -1].any()]
+    if weather == DROPLETS_ONLY:
+        assert (borders > 0).all(), borders  # droplets clipped at all four borders
+
+
 # ---------------------------------------------------------------------------
 # safe set
 
@@ -214,6 +319,40 @@ def test_is_safe_obstacle_overlap():
     scn = straight_road(obstacle=obst)
     assert not sim.is_safe(sim.VehicleState(20.0, 0.0, 0.3, 8.0), scn)
     assert sim.is_safe(sim.VehicleState(10.0, 0.0, 0.0, 8.0), scn)
+
+
+def test_hits_obstacle_agrees_with_separating_axis_test():
+    rng = np.random.default_rng(7)
+    cases = 0
+    overlapping = 0
+    for _ in range(4000):
+        obs = sim.Obstacle(x=rng.uniform(-50, 50), y=rng.uniform(-50, 50),
+                           heading=rng.uniform(-math.pi, math.pi),
+                           length=rng.uniform(0.5, 6.0), width=rng.uniform(0.5, 3.0))
+        scn = straight_road(obstacle=obs)
+        kind = rng.integers(3)
+        if kind == 0:  # anywhere near, from deep overlap to well apart
+            r = rng.uniform(0.0, 9.0)
+            phi = rng.uniform(-math.pi, math.pi)
+            x, y = obs.x + r * math.cos(phi), obs.y + r * math.sin(phi)
+            heading = rng.uniform(-math.pi, math.pi)
+        elif kind == 1:  # edges touching: the car's rear on the obstacle's front face
+            heading = obs.heading
+            x, y = _obstacle_point(obs, obs.length / 2.0 + sim.CAR_LENGTH / 2.0,
+                                   rng.uniform(-1.0, 1.0) * (obs.width + sim.CAR_WIDTH) / 2.0)
+        else:  # corners touching, with the centres on one line through both
+            theta = obs.heading + math.atan2(obs.width, obs.length)
+            reach = (math.hypot(obs.length, obs.width)
+                     + math.hypot(sim.CAR_LENGTH, sim.CAR_WIDTH)) / 2.0
+            reach *= 1.0 + rng.choice([-1e-9, 0.0, 1e-9, 1e-3])
+            x, y = obs.x + reach * math.cos(theta), obs.y + reach * math.sin(theta)
+            heading = theta - math.atan2(sim.CAR_WIDTH, sim.CAR_LENGTH)
+        state = sim.VehicleState(x, y, wrap_angle(heading), 8.0)
+        expect = rects_overlap(sim.car_rect(state), obs.rect())
+        assert sim.hits_obstacle(state, scn) == expect, (obs, state)
+        cases += 1
+        overlapping += expect
+    assert 500 <= overlapping <= cases - 500
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +432,25 @@ def test_episode_error_outcome():
     assert path.outcome == "error"
     assert path.error == "RuntimeError: sensor died"
     assert sim.run_episode(scn, ConstantController(0.0), None, seed=0).error is None
+
+
+def test_episode_unsafe_start_pose_is_an_error_not_a_violation():
+    wild = sim.Disturbances(lateral_jitter_std=10.0)
+    outcomes = set()
+    for seed in range(12):
+        scn = sim.straight_obstacle_scenario(disturbances=wild)
+        path = sim.run_episode(scn, ConstantController(0.0), None, seed=seed,
+                               keep_observations=True)
+        start = path.records[0].state
+        if sim.is_safe(start, scn):
+            assert path.outcome != "error" and path.error is None
+        else:
+            assert path.outcome == "error" and len(path.records) == 1
+            assert path.observations == ()
+            assert path.error == (f"unsafe start pose: x={start.x!r} y={start.y!r} "
+                                  f"heading={start.heading!r}")
+        outcomes.add(path.outcome)
+    assert "error" in outcomes and outcomes - {"error"}
 
 
 def test_episode_deterministic_including_observations():
