@@ -73,16 +73,21 @@ class ViPosterior:
 @dataclass(frozen=True)
 class HmcPosterior:
     head: nn.NetworkSpec
-    samples: tuple[np.ndarray, ...]
+    samples: np.ndarray  # (S, param_count), one retained sample per row; read-only
 
     def __post_init__(self):
-        if not self.samples:
-            raise ValueError("HMC posterior needs at least one sample")
         n = nn.param_count(self.head)
-        if any(s.shape != (n,) for s in self.samples):
-            raise ValueError(f"every HMC sample must have the head's {n} parameters")
-        if not all(np.isfinite(s).all() for s in self.samples):
+        if not isinstance(self.samples, np.ndarray) or self.samples.ndim != 2 \
+                or self.samples.shape[1] != n:
+            raise ValueError(f"HMC samples must be an (S, {n}) array, one row of "
+                             f"the head's {n} parameters per sample")
+        if self.samples.shape[0] == 0:
+            raise ValueError("HMC posterior needs at least one sample")
+        if not np.isfinite(self.samples).all():
             raise ValueError("HMC samples must be finite")
+        view = self.samples.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "samples", view)
 
 
 Posterior = McdPosterior | ViPosterior | HmcPosterior
@@ -294,12 +299,13 @@ def leapfrog(q: np.ndarray, p: np.ndarray, step_size: float, steps: int,
 
 
 def hmc_chain(u_fn, dim: int, cfg: HmcConfig, rng: np.random.Generator,
-              init: np.ndarray | None = None) -> tuple[list[np.ndarray], float]:
+              init: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Metropolis-adjusted HMC for any potential; u_fn(w) -> (U, grad U).
-    Returns the retained post-burn-in thinned samples and the acceptance rate."""
+    Returns the retained post-burn-in thinned samples as a (cfg.samples, dim)
+    array, one per row, and the acceptance rate."""
     q = np.zeros(dim) if init is None else np.asarray(init, dtype=np.float64).copy()
     u, gu = u_fn(q)
-    kept: list[np.ndarray] = []
+    kept = np.empty((cfg.samples, dim))
     accepted = 0
     total = cfg.burn_in + cfg.samples * cfg.thin
     for it in range(total):
@@ -313,7 +319,7 @@ def hmc_chain(u_fn, dim: int, cfg: HmcConfig, rng: np.random.Generator,
             q, u, gu = q2, u2, gu2
             accepted += 1
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
-            kept.append(q.copy())
+            kept[(it - cfg.burn_in) // cfg.thin] = q
     return kept, accepted / total
 
 
@@ -324,7 +330,7 @@ def train_hmc(ds: FeatureDataset, head: nn.NetworkSpec, prior: Prior,
     potential_energy."""
     samples, _ = hmc_chain(lambda w: potential_energy(w, ds, head, prior),
                            nn.param_count(head), cfg, rng, init=init_w)
-    return HmcPosterior(head, tuple(samples))
+    return HmcPosterior(head, samples)
 
 
 def effective_sample_size(x: np.ndarray) -> float:
@@ -362,6 +368,5 @@ def sample_weights(post: Posterior, n: int,
         zeta = rng.standard_normal((n, post.mu.size))
         return post.mu + sigma * zeta
     if isinstance(post, HmcPosterior):
-        idx = rng.integers(0, len(post.samples), size=n)
-        return np.stack([post.samples[i] for i in idx])
+        return post.samples[rng.integers(0, len(post.samples), size=n)]
     raise TypeError(f"unknown posterior {type(post)!r}")

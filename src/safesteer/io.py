@@ -4,9 +4,12 @@ byte-deterministic for identical inputs."""
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path as FsPath
 
@@ -16,7 +19,7 @@ from . import bayes, nn
 from .datasets import ImageDataset
 from .statcheck import PrecisionSpec, SafetyEstimate
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -125,20 +128,42 @@ def _spec_from_dict(d: dict) -> nn.NetworkSpec:
     return nn.NetworkSpec(layers, tuple(d["input_shape"]), d["num_classes"])
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """A float64 array as its exact little-endian bytes, base64-encoded."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(obj: dict) -> np.ndarray:
+    """The read-only float64 array that _encode_array wrote, viewing the
+    decoded buffer."""
+    shape = obj["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"array shape {shape!r} is not a list of non-negative integers")
+    try:
+        data = base64.b64decode(obj["f8le"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"array data is not base64: {exc}") from None
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"array data holds {len(data)} bytes, shape {shape} "
+                         f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape)
+
+
 def save_model(model: TrainedModel, path) -> None:
     doc: dict = {
         "format_version": MODEL_FORMAT_VERSION,
         "method": model.method,
         "network": _spec_to_dict(model.mcd.spec),
-        "weights": model.mcd.weights.tolist(),
+        "weights": _encode_array(model.mcd.weights),
         "dropout_rates": list(model.mcd.rates),
         "metadata": model.metadata,
     }
     if isinstance(model.posterior, bayes.ViPosterior):
-        doc["vi"] = {"mu": model.posterior.mu.tolist(),
-                     "rho": model.posterior.rho.tolist()}
+        doc["vi"] = {"mu": _encode_array(model.posterior.mu),
+                     "rho": _encode_array(model.posterior.rho)}
     elif isinstance(model.posterior, bayes.HmcPosterior):
-        doc["hmc"] = {"samples": [s.tolist() for s in model.posterior.samples]}
+        doc["hmc"] = {"samples": _encode_array(model.posterior.samples)}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -157,10 +182,10 @@ def load_model(path) -> TrainedModel:
         if not isinstance(doc, dict):
             raise ValueError("not a JSON object")
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {doc.get('format_version')}")
+            raise ValueError(f"unsupported format_version {doc.get('format_version')}; "
+                             f"re-run `train` to write a version {MODEL_FORMAT_VERSION} file")
         spec = _spec_from_dict(doc["network"])
-        weights = np.asarray(doc["weights"], dtype=np.float64)
-        mcd = bayes.McdPosterior(spec, weights)
+        mcd = bayes.McdPosterior(spec, _decode_array(doc["weights"]))
         if tuple(doc["dropout_rates"]) != mcd.rates:
             raise ValueError(f"dropout_rates {tuple(doc['dropout_rates'])} disagree "
                              f"with the network's {mcd.rates}")
@@ -170,11 +195,10 @@ def load_model(path) -> TrainedModel:
         if method == "mcd":
             posterior = mcd
         elif method == "vi":
-            posterior = bayes.ViPosterior(head, np.asarray(doc["vi"]["mu"]),
-                                          np.asarray(doc["vi"]["rho"]))
+            posterior = bayes.ViPosterior(head, _decode_array(doc["vi"]["mu"]),
+                                          _decode_array(doc["vi"]["rho"]))
         elif method == "hmc":
-            posterior = bayes.HmcPosterior(
-                head, tuple(np.asarray(s) for s in doc["hmc"]["samples"]))
+            posterior = bayes.HmcPosterior(head, _decode_array(doc["hmc"]["samples"]))
         else:
             raise ValueError(f"unknown method {method!r}")
     except KeyError as exc:

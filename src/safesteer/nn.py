@@ -209,22 +209,20 @@ def _check_mask(spec: NetworkSpec, mask: DropoutMask | None, batch: int) -> None
     for i, width in layout.items():
         expect = (batch, width)
         m = mask[i]
-        if (m.ndim == 1 and batch != 1) or m.shape[-1] != width:
+        if m.shape != expect and not (batch == 1 and m.shape == (width,)):
             raise ValueError(f"mask for layer {i} has shape {m.shape}, expected {expect}")
 
 
 def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(b, ho, wo, k*k*c) patches; column (di*k + dj)*c + ch holds
+    x[:, i*stride + di, j*stride + dj, ch]."""
     b, h, w, c = x.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
-    cols = np.empty((b, ho, wo, k * k * c), dtype=x.dtype)
-    idx = 0
-    for di in range(k):
-        for dj in range(k):
-            cols[..., idx * c:(idx + 1) * c] = x[:, di:di + ho * stride:stride,
-                                                 dj:dj + wo * stride:stride, :]
-            idx += 1
-    return cols
+    sb, sh, sw, sc = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, (b, ho, wo, k, k, c), (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return patches.reshape(b, ho, wo, k * k * c)
 
 
 def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarray:

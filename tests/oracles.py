@@ -76,6 +76,22 @@ def naive_forward(spec, w, x, mask=None):
     return x
 
 
+def im2col_reference(x, k, stride):
+    """(b, ho, wo, k*k*c) patch columns, filled by one slice copy per
+    kernel offset; column (di*k + dj)*c + ch."""
+    b, h, w, c = x.shape
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
+    cols = np.empty((b, ho, wo, k * k * c), dtype=x.dtype)
+    idx = 0
+    for di in range(k):
+        for dj in range(k):
+            cols[..., idx * c:(idx + 1) * c] = x[:, di:di + ho * stride:stride,
+                                                 dj:dj + wo * stride:stride, :]
+            idx += 1
+    return cols
+
+
 def central_diff(f, x, h=1e-5):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=np.float64)
@@ -198,6 +214,13 @@ def sample_weights_per_row(post, n, rng):
         sigma = np.exp(post.rho)
         return [post.mu + sigma * z for z in rng.standard_normal((n, post.mu.size))]
     return [post.samples[i] for i in rng.integers(0, len(post.samples), size=n)]
+
+
+def sample_weights_hmc_reference(post, n, rng):
+    """n HMC head weight samples gathered one stored sample at a time and
+    stacked: the same uniform indices, drawn from rng the same way."""
+    idx = rng.integers(0, len(post.samples), size=n)
+    return np.stack([post.samples[i] for i in idx])
 
 
 def predictive_per_sample(post, x, n, rng):

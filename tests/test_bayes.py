@@ -6,7 +6,7 @@ import pytest
 from safesteer import bayes, nn
 from safesteer.datasets import FeatureDataset, ImageDataset
 from oracles import (central_diff, leapfrog_harmonic, max_rel_error, naive_forward,
-                     sample_weights_per_row)
+                     sample_weights_hmc_reference, sample_weights_per_row)
 
 PRIOR = bayes.Prior(1.0)
 
@@ -349,9 +349,31 @@ def test_hmc_posterior_rejects_sample_of_wrong_length():
     head = smooth_head()
     n = nn.param_count(head)
     with pytest.raises(ValueError, match=f"{n} parameters"):
-        bayes.HmcPosterior(head, (np.zeros(n), np.zeros(n - 1)))
+        bayes.HmcPosterior(head, np.zeros((2, n - 1)))
     with pytest.raises(ValueError, match=f"{n} parameters"):
-        bayes.HmcPosterior(head, (np.zeros((1, n)),))
+        bayes.HmcPosterior(head, np.zeros((1, 1, n)))
+    with pytest.raises(ValueError, match=f"{n} parameters"):
+        bayes.HmcPosterior(head, np.zeros(n))
+    with pytest.raises(ValueError, match=f"{n} parameters"):
+        bayes.HmcPosterior(head, (np.zeros(n), np.zeros(n)))  # a tuple of samples
+    with pytest.raises(ValueError, match="at least one sample"):
+        bayes.HmcPosterior(head, np.zeros((0, n)))
+
+
+def test_hmc_posterior_samples_are_one_read_only_array():
+    head = smooth_head()
+    n = nn.param_count(head)
+    given = np.random.default_rng(0).normal(0, 1, (4, n))
+    post = bayes.HmcPosterior(head, given)
+    assert isinstance(post.samples, np.ndarray) and post.samples.shape == (4, n)
+    assert not post.samples.flags.writeable
+    assert np.shares_memory(post.samples, given)  # a view, not a second copy
+    with pytest.raises(ValueError):
+        post.samples[0, 0] = 1.0
+    trained = bayes.train_hmc(toy_feature_ds(7, n=10), relu_head(), PRIOR,
+                              bayes.HmcConfig(0.05, 5, 3, 6, 2), np.random.default_rng(3))
+    assert trained.samples.shape == (6, nn.param_count(relu_head()))
+    assert not trained.samples.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -367,7 +389,7 @@ def test_posteriors_reject_non_finite_values(bad):
     with pytest.raises(ValueError, match="finite"):
         bayes.ViPosterior(head, np.zeros(n), spoiled)
     with pytest.raises(ValueError, match="finite"):
-        bayes.HmcPosterior(head, (np.zeros(n), spoiled))
+        bayes.HmcPosterior(head, np.stack([np.zeros(n), spoiled]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +407,7 @@ def test_sample_weights_vi_degenerate():
 def test_sample_weights_hmc_single_sample():
     head = smooth_head()
     w0 = np.random.default_rng(0).normal(0, 1, nn.param_count(head))
-    post = bayes.HmcPosterior(head, (w0,))
+    post = bayes.HmcPosterior(head, w0[None])
     for w in bayes.sample_weights(post, 7, np.random.default_rng(2)):
         assert np.array_equal(w, w0)
 
@@ -408,12 +430,24 @@ def test_sample_weights_vi_and_hmc_stack_the_per_row_draws(n):
     p = nn.param_count(head)
     rng = np.random.default_rng(n)
     vi = bayes.ViPosterior(head, rng.normal(0, 1, p), rng.normal(-1.0, 0.5, p))
-    hmc = bayes.HmcPosterior(head, tuple(rng.normal(0, 1, p) for _ in range(5)))
+    hmc = bayes.HmcPosterior(head, np.stack([rng.normal(0, 1, p) for _ in range(5)]))
     for post in (vi, hmc):
         draws = bayes.sample_weights(post, n, np.random.default_rng([n, 1]))
         assert isinstance(draws, np.ndarray) and draws.shape == (n, p)
         want = np.stack(sample_weights_per_row(post, n, np.random.default_rng([n, 1])))
         assert draws.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 32, 100])
+def test_sample_weights_hmc_equals_the_stacked_gather_and_leaves_the_same_rng_state(n):
+    head = relu_head()
+    p = nn.param_count(head)
+    post = bayes.HmcPosterior(head, np.random.default_rng(n).normal(0, 1, (1000, p)))
+    rng, ref_rng = np.random.default_rng([n, 2]), np.random.default_rng([n, 2])
+    got = bayes.sample_weights(post, n, rng)
+    want = sample_weights_hmc_reference(post, n, ref_rng)
+    assert got.shape == want.shape == (n, p) and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sample_weights_mcd_masks():

@@ -1,3 +1,4 @@
+import base64
 import csv
 import gc
 import json
@@ -122,6 +123,32 @@ def test_model_save_load_save_byte_identical(tmp_path, mcd_model):
     assert model.mcd.weights.dtype == np.float64
 
 
+@pytest.mark.parametrize("method", ["mcd", "vi", "hmc"])
+def test_save_load_save_keeps_every_array_and_byte(tmp_path, mcd_model, method):
+    mcd = io.load_model(mcd_model).mcd
+    head = nn.head_spec(mcd.spec)
+    p = nn.param_count(head)
+    rng = np.random.default_rng(5)
+    posterior = {"mcd": mcd,
+                 "vi": bayes.ViPosterior(head, rng.normal(0, 1, p), rng.normal(-3, 1, p)),
+                 "hmc": bayes.HmcPosterior(head, rng.normal(0, 1, (7, p)))}[method]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    io.save_model(io.TrainedModel(method, mcd, posterior, {"note": method}), first)
+    loaded = io.load_model(first)
+    arrays = {"mcd": lambda post: [post.weights], "vi": lambda post: [post.mu, post.rho],
+              "hmc": lambda post: [post.samples]}[method]
+    assert loaded.mcd.weights.tobytes() == mcd.weights.tobytes()
+    for got, want in zip(arrays(loaded.posterior), arrays(posterior), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if method == "hmc":
+        assert not loaded.posterior.samples.flags.writeable
+    io.save_model(loaded, second)
+    assert read_bytes(first) == read_bytes(second)
+    doc = json.loads(read_bytes(first))
+    assert doc["format_version"] == io.MODEL_FORMAT_VERSION == 2
+    assert doc["weights"]["shape"] == [nn.param_count(mcd.spec)]
+
+
 def test_load_model_rejects_dropout_rates_that_disagree(tmp_path, mcd_model):
     doc = json.loads(read_bytes(mcd_model))
     assert doc["dropout_rates"] == [0.1, 0.08, 0.08]
@@ -150,7 +177,9 @@ def test_load_model_names_file_and_missing_key(tmp_path, mcd_model, key):
 
 def test_load_model_names_file_of_non_finite_weights(tmp_path, mcd_model):
     doc = json.loads(read_bytes(mcd_model))
-    doc["weights"][3] = float("nan")
+    weights = decode(doc["weights"])
+    weights[3] = float("nan")
+    doc["weights"] = encode(weights)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="finite") as err:
@@ -158,14 +187,31 @@ def test_load_model_names_file_of_non_finite_weights(tmp_path, mcd_model):
     assert str(tampered) in str(err.value)
 
 
+def decode(obj):
+    """A model file's encoded array, as a writable copy."""
+    return np.frombuffer(base64.b64decode(obj["f8le"]), dtype="<f8").reshape(obj["shape"]).copy()
+
+
+def encode(a):
+    return {"shape": list(a.shape), "f8le": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+
+
 def hmc_model_doc(mcd_model):
     """The MCD model file turned into an HMC one with two head samples."""
     doc = json.loads(read_bytes(mcd_model))
     spec = io._spec_from_dict(doc["network"])
-    head_w = doc["weights"][nn.head_slice(spec)]
+    head_w = decode(doc["weights"])[nn.head_slice(spec)]
     doc["method"] = "hmc"
-    doc["hmc"] = {"samples": [head_w, head_w]}
+    doc["hmc"] = {"samples": encode(np.stack([head_w, head_w]))}
     return doc
+
+
+def test_hmc_model_doc_loads_as_two_samples(tmp_path, mcd_model):
+    path = tmp_path / "hmc.json"
+    path.write_text(json.dumps(hmc_model_doc(mcd_model)))
+    model = io.load_model(path)
+    head_w = bayes.head_weights(model.mcd)
+    assert model.posterior.samples.tobytes() == np.stack([head_w, head_w]).tobytes()
 
 
 EVAL_ARGS = ("--scenario", "straight_obstacle", "--theta", "0.45", "--gamma", "0.5",
@@ -173,25 +219,38 @@ EVAL_ARGS = ("--scenario", "straight_obstacle", "--theta", "0.45", "--gamma", "0
 
 
 @pytest.mark.parametrize("fault", ["missing-hmc-key", "short-sample", "hmc-not-an-object",
-                                   "not-a-json-object", "truncated-json"])
+                                   "not-a-json-object", "truncated-json", "non-base64-character",
+                                   "negative-shape", "non-integer-shape", "format-version-1"])
 def test_eval_safety_exits_2_on_a_malformed_model_file(tmp_path, mcd_model, fault, capsys):
     doc = hmc_model_doc(mcd_model)
+    samples = doc["hmc"]["samples"]
     if fault == "missing-hmc-key":
         del doc["hmc"]
-    elif fault == "short-sample":
-        doc["hmc"]["samples"][1] = doc["hmc"]["samples"][1][:-1]
+    elif fault == "short-sample":  # the data is one value short of its shape
+        samples["f8le"] = encode(decode(samples).ravel()[:-1])["f8le"]
     elif fault == "hmc-not-an-object":
-        doc["hmc"] = doc["hmc"]["samples"]
+        doc["hmc"] = [samples]
     elif fault == "not-a-json-object":
         doc = [doc]
+    elif fault == "non-base64-character":
+        samples["f8le"] = samples["f8le"][:40] + "!" + samples["f8le"][41:]
+    elif fault == "negative-shape":
+        samples["shape"] = [-2, samples["shape"][1]]
+    elif fault == "non-integer-shape":
+        samples["shape"] = [2.0, samples["shape"][1]]
+    elif fault == "format-version-1":
+        doc["format_version"] = 1
     text = json.dumps(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(text[:100] if fault == "truncated-json" else text)
     report = tmp_path / "report.json"
     assert run_cli("eval-safety", "--model", str(bad), *EVAL_ARGS, "--report", str(report),
                    "--log", str(tmp_path / "log.csv")) == 2
-    assert str(bad) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(bad) in err
     assert not report.exists()
+    if fault == "format-version-1":
+        assert "unsupported format_version 1" in err and "re-run `train`" in err
 
 
 def test_a_runtime_value_error_still_exits_1(tmp_path, mcd_model, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from safesteer import bayes, io, nn, uncertainty
-from oracles import central_diff, max_rel_error, naive_forward
+from oracles import central_diff, im2col_reference, max_rel_error, naive_forward
 
 
 def small_spec(num_classes=4):
@@ -88,6 +88,43 @@ def test_forward_rejects_shape_mismatch():
         nn.forward(spec, w, np.zeros((9, 11)))
     with pytest.raises(ValueError):
         nn.forward(spec, w[:-1], np.zeros((9, 11, 1)))
+
+
+
+@pytest.mark.parametrize("rows,mask_shape", [(1, (5, 64)), (3, (5, 64)), (3, (3, 1, 64)),
+                                             (3, (3, 63)), (3, (64,))])
+def test_forward_batch_rejects_mask_of_wrong_shape(rows, mask_shape):
+    head = nn.head_spec(nn.default_network_spec(20))
+    w = nn.init_weights(head, np.random.default_rng(0))
+    mask = {i: np.ones(mask_shape) for i in head.plan.dropout}
+    with pytest.raises(ValueError, match="mask for layer 0 has shape"):
+        nn.forward_batch(head, w, np.zeros((rows, 64)), mask)
+    # the batch's own (rows, width) mask, and a 1-D mask on a single row, pass
+    good = nn.sample_dropout_mask(head, np.random.default_rng(1), batch=rows)
+    assert nn.forward_batch(head, w, np.zeros((rows, 64)), good).shape == (rows, 20)
+    single = nn.sample_dropout_mask(head, np.random.default_rng(1))
+    assert nn.forward_batch(head, w, np.zeros((1, 64)), single).shape == (1, 20)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_im2col_equals_the_slice_copy_loop_on_the_default_conv_layers(batch):
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(batch)
+    convs = [i for i, layer in enumerate(spec.layers) if layer.kind == "conv"]
+    assert len(convs) == 3
+    for i in convs:
+        layer = spec.layers[i]
+        x = rng.normal(0, 1, (batch,) + spec.plan.in_shapes[i])
+        got = nn._im2col(x, layer.kernel, layer.stride)
+        want = im2col_reference(x, layer.kernel, layer.stride)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_im2col_equals_the_slice_copy_loop_at_stride_1_with_channels():
+    x = np.random.default_rng(4).normal(0, 1, (2, 7, 6, 3))
+    got = nn._im2col(x, 3, 1)
+    want = im2col_reference(x, 3, 1)
+    assert got.shape == want.shape == (2, 5, 4, 27) and got.tobytes() == want.tobytes()
 
 
 def test_forward_is_pure():
@@ -348,7 +385,7 @@ def test_network_plan_is_read_without_hashing_the_spec(monkeypatch):
     head = nn.head_spec(spec)
     hw = bayes.head_weights(mcd)
     for post in (mcd, bayes.ViPosterior(head, hw, np.full(hw.size, -3.0)),
-                 bayes.HmcPosterior(head, (hw, 0.9 * hw))):
+                 bayes.HmcPosterior(head, np.stack([hw, 0.9 * hw]))):
         pred = uncertainty.predictive(post, feats, 32, rng)
         assert pred.per_sample_probs.shape == (32, 20)
     assert bayes.Prior(1.0).param_sigmas(head).shape == (nn.param_count(head),)

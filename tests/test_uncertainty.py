@@ -78,7 +78,7 @@ def test_predictive_single_sample():
 def test_predictive_hmc_single_stored_sample():
     head = tiny_head()
     w = np.random.default_rng(6).normal(0, 0.4, nn.param_count(head))
-    post = bayes.HmcPosterior(head, (w,))
+    post = bayes.HmcPosterior(head, w[None])
     pred = predictive(post, np.array([0.1, 0.2, 0.3]), 12, np.random.default_rng(7))
     assert np.all(pred.per_sample_probs == pred.per_sample_probs[0])
 
@@ -88,7 +88,7 @@ def stacked_pass_posterior(kind, head, seed):
     p = nn.param_count(head)
     if kind == "vi":
         return bayes.ViPosterior(head, rng.normal(0, 0.3, p), rng.normal(-2.0, 0.5, p))
-    return bayes.HmcPosterior(head, tuple(rng.normal(0, 0.3, p) for _ in range(40)))
+    return bayes.HmcPosterior(head, np.stack([rng.normal(0, 0.3, p) for _ in range(40)]))
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])
