@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import FeatureDataset, ImageDataset, image_to_input
+from .datasets import FeatureDataset, ImageDataset, images_to_input
 from . import nn
 
 
@@ -128,7 +128,7 @@ def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     rng = rng if rng is not None else np.random.default_rng(0)
-    x_all = np.stack([image_to_input(img) for img in dataset.images])
+    x_all = images_to_input(dataset.images)
     y_all = np.asarray(dataset.labels, dtype=np.int64)
     w = nn.init_weights(spec, rng)
     adam = nn.AdamState.fresh(w.size, lr=lr)
@@ -151,7 +151,7 @@ def extract_features(mcd: McdPosterior, image: np.ndarray) -> np.ndarray:
 
 def extract_features_batch(mcd: McdPosterior, images: np.ndarray) -> np.ndarray:
     boundary = mcd.spec.plan.feature_boundary
-    x = np.stack([image_to_input(img) for img in images])
+    x = images_to_input(images)
     if x.shape[1:] != tuple(mcd.spec.input_shape):
         raise ValueError(f"image shape {x.shape[1:]} != {tuple(mcd.spec.input_shape)}")
     return nn.forward_batch(mcd.spec, mcd.weights, x, stop_after=boundary - 1)

@@ -89,9 +89,9 @@ def _parse_weathers(text: str) -> tuple[str, ...]:
 
 def training_accuracy(mcd: bayes.McdPosterior, ds) -> float:
     """Mask-free argmax accuracy over the training images."""
-    from .datasets import image_to_input
+    from .datasets import images_to_input
 
-    x = np.stack([image_to_input(img) for img in ds.images])
+    x = images_to_input(ds.images)
     logits = nn.forward_batch(mcd.spec, mcd.weights, x)
     return float(np.mean(np.argmax(logits, axis=1) == ds.labels))
 

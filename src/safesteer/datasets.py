@@ -43,9 +43,15 @@ class FeatureDataset:
         return len(self.labels)
 
 
-def image_to_input(img: np.ndarray) -> np.ndarray:
-    """Map an 8-bit grayscale image to the (H, W, 1) float network input."""
-    arr = np.asarray(img, dtype=np.float64) / 255.0
-    if arr.ndim == 2:
+def images_to_input(images) -> np.ndarray:
+    """Map a stack of 8-bit grayscale images, (N, H, W) or (N, H, W, 1), to
+    the (N, H, W, 1) float network input."""
+    arr = np.asarray(images, dtype=np.float64) / 255.0
+    if arr.ndim == 3:
         arr = arr[..., None]
     return arr
+
+
+def image_to_input(img: np.ndarray) -> np.ndarray:
+    """Map an 8-bit grayscale image to the (H, W, 1) float network input."""
+    return images_to_input(np.asarray(img)[None])[0]

@@ -214,15 +214,19 @@ def _check_mask(spec: NetworkSpec, mask: DropoutMask | None, batch: int) -> None
 
 
 def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(b, ho, wo, k*k*c) patches; column (di*k + dj)*c + ch holds
-    x[:, i*stride + di, j*stride + dj, ch]."""
+    """Read-only (b, ho, wo, k, k, c) view of the patches of x: entry
+    [:, i, j, di, dj, ch] is x[:, i*stride + di, j*stride + dj, ch], so a
+    row-major reshape to (b*ho*wo, k*k*c) puts it in column (di*k + dj)*c + ch.
+    Built with the ndarray constructor, the cheapest way to a strided view."""
+    x = np.ascontiguousarray(x)
     b, h, w, c = x.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
     sb, sh, sw, sc = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x, (b, ho, wo, k, k, c), (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
-    return patches.reshape(b, ho, wo, k * k * c)
+    patches = np.ndarray((b, ho, wo, k, k, c), x.dtype, x, 0,
+                         (sb, sh * stride, sw * stride, sh, sw, sc))
+    patches.flags.writeable = False
+    return patches
 
 
 def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarray:
@@ -251,9 +255,10 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
     for i, layer in enumerate(spec.layers):
         if layer.kind == "conv":
             wsl, bsl = plan.slices[i]
-            saved = cols = _im2col(x, layer.kernel, layer.stride)
-            b, ho, wo, ck = cols.shape
-            x = (cols.reshape(b * ho * wo, ck) @ w[wsl].reshape(plan.kernel_shapes[i])
+            patches = _im2col(x, layer.kernel, layer.stride)
+            b, ho, wo = patches.shape[:3]
+            saved = cols = patches.reshape(b * ho * wo, -1)  # the one copy
+            x = (cols @ w[wsl].reshape(plan.kernel_shapes[i])
                  + w[bsl]).reshape(b, ho, wo, layer.filters)
         elif layer.kind == "fc":
             if mask is not None and i in mask:
@@ -359,12 +364,13 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
         layer = spec.layers[i]
         if layer.kind == "conv":
             wsl, bsl = plan.slices[i]
-            cols = acts[i]
-            b, ho, wo, ck = cols.shape
-            dmat = delta.reshape(b * ho * wo, layer.filters)
+            cols = acts[i]  # (batch*ho*wo, k*k*c)
+            ho, wo, _ = plan.out_shapes[i]
+            dmat = delta.reshape(batch * ho * wo, layer.filters)
             grad[bsl] = dmat.sum(axis=0)
-            grad[wsl] = (cols.reshape(b * ho * wo, ck).T @ dmat).ravel()
-            dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(b, ho, wo, ck)
+            grad[wsl] = (cols.T @ dmat).ravel()
+            dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(
+                batch, ho, wo, cols.shape[1])
             delta = _col2im(dcols, (batch,) + plan.in_shapes[i], layer.kernel, layer.stride)
         elif layer.kind == "fc":
             wsl, bsl = plan.slices[i]

@@ -207,78 +207,99 @@ _RAY_X, _RAY_Y, _RAY_Z = _pixel_rays()
 # t_ground at which it does, and its horizontal reach t_ground * |(x, y)|
 # (inf for rays at or above the horizon) do not depend on the pose.
 _GROUND_IDX = np.flatnonzero(_RAY_Z < -1e-12)
-_GROUND_X, _GROUND_Y = _RAY_X[_GROUND_IDX], _RAY_Y[_GROUND_IDX]
 _T_GROUND = np.full(_RAY_Z.shape, np.inf)
 _T_GROUND[_GROUND_IDX] = -CAMERA_HEIGHT / _RAY_Z[_GROUND_IDX]
-_GROUND_T = _T_GROUND[_GROUND_IDX]
-# The same rays ordered by reach, farthest first, for the obstacle pass
 _REACH = _T_GROUND * np.hypot(_RAY_X, _RAY_Y)
-_BY_REACH = np.argsort(-_REACH, kind="stable")
-_NEG_REACH = -_REACH[_BY_REACH]  # ascending, for searchsorted
-_REACH_X, _REACH_Y, _REACH_Z, _REACH_T = (
-    a[_BY_REACH] for a in (_RAY_X, _RAY_Y, _RAY_Z, _T_GROUND))
+# The ground rays that land within VIEW_RANGE. Per pose the test reads the
+# rotated offsets, whose rounding moves a reach by far less than a metre,
+# and no ground ray's reach lies within 30 m of VIEW_RANGE.
+_VIS_IDX = _GROUND_IDX[_REACH[_GROUND_IDX] <= VIEW_RANGE]
+_VIS_X, _VIS_Y, _VIS_T = _RAY_X[_VIS_IDX], _RAY_Y[_VIS_IDX], _T_GROUND[_VIS_IDX]
+# The obstacle pass's rays in one order: ground rays by reach, nearest
+# first; rays with |z| <= 1e-12, tested on every frame; sky rays by
+# |(x, y)| / z, largest first. An upward ray stays below a box of height
+# h > CAMERA_HEIGHT only within (h - CAMERA_HEIGHT) * |(x, y)| / z of the
+# camera, so a frame tests one contiguous run of this order.
+_SKY_IDX = np.flatnonzero(_RAY_Z > 1e-12)
+_SKY_SLOPE = np.hypot(_RAY_X[_SKY_IDX], _RAY_Y[_SKY_IDX]) / _RAY_Z[_SKY_IDX]
+_CULL_IDX = np.concatenate((
+    _GROUND_IDX[np.argsort(_REACH[_GROUND_IDX], kind="stable")],
+    np.flatnonzero(np.abs(_RAY_Z) <= 1e-12),
+    _SKY_IDX[np.argsort(-_SKY_SLOPE, kind="stable")]))
+_CULL_REACH = np.sort(_REACH[_GROUND_IDX])   # ascending, for searchsorted
+_NEG_SKY_SLOPE = np.sort(-_SKY_SLOPE)        # ascending, for searchsorted
+_SKY_START = _RAY_Z.size - _SKY_IDX.size
+_CULL_X, _CULL_Y, _CULL_Z, _CULL_T = (
+    a[_CULL_IDX] for a in (_RAY_X, _RAY_Y, _RAY_Z, _T_GROUND))
 
 
 def render(state: VehicleState, scenario: ScenarioConfig) -> np.ndarray:
     """Rasterize the forward view: pinhole ground-plane projection of the
     corridor plus the obstacle as an upright box. Returns (48, 64) uint8.
 
-    The ground set, t_ground and each ray's horizontal reach are module
-    tables (pose-invariant, see above); per frame only the ground rays are
-    rotated. The slab test runs only on the rays whose reach is at least
-    the camera's distance to the obstacle footprint. That prune is exact:
-    a hit needs tmin < t_ground with the entry point inside the footprint,
-    so the hit lies nearer than the ray's reach and no nearer than the
-    footprint. A margin far above rounding keeps the boundary rays in."""
+    The visible ground rays, t_ground and the obstacle pass's ray order are
+    module tables (pose-invariant, see above); per frame only the rays in
+    use are rotated. The slab test runs on a ground ray only if its reach
+    is at least the camera's distance to the obstacle footprint, and on a
+    sky ray only if its reach below the box top is. That prune is exact: a
+    hit needs its entry point inside the footprint, nearer than t_ground
+    and no higher than the box, so the hit lies within the ray's reach and
+    no nearer than the footprint. A margin far above rounding keeps the
+    boundary rays in."""
     c, s = math.cos(state.heading), math.sin(state.heading)
     cam_x = state.x + CAMERA_FORWARD * c
     cam_y = state.y + CAMERA_FORWARD * s
     img = np.full(IMG_H * IMG_W, SKY, dtype=np.uint8)
 
-    gx = cam_x + _GROUND_T * (c * _GROUND_X - s * _GROUND_Y)
-    gy = cam_y + _GROUND_T * (s * _GROUND_X + c * _GROUND_Y)
-    rel_x, rel_y = gx - cam_x, gy - cam_y
-    visible = rel_x * rel_x + rel_y * rel_y <= VIEW_RANGE ** 2
-    if visible.any():
-        d2 = scenario.centerline.distance_sq_many(gx[visible], gy[visible])
-        hw = scenario.corridor_half_width
-        shade = np.where(d2 <= (hw - MARK_BAND) ** 2, ROAD,
-                         np.where(d2 <= hw * hw, MARKING, OFFROAD))
-        img[_GROUND_IDX[visible]] = shade
+    gx = cam_x + _VIS_T * (c * _VIS_X - s * _VIS_Y)
+    gy = cam_y + _VIS_T * (s * _VIS_X + c * _VIS_Y)
+    d2 = scenario.centerline.distance_sq_many(gx, gy)
+    hw = scenario.corridor_half_width
+    img[_VIS_IDX] = np.where(d2 <= (hw - MARK_BAND) ** 2, ROAD,
+                             np.where(d2 <= hw * hw, MARKING, OFFROAD))
 
     obs = scenario.obstacle
     if obs is not None:
         co, so = math.cos(obs.heading), math.sin(obs.heading)
-        # rays in the obstacle frame (origin at footprint center, z up)
+        # camera in the obstacle frame (origin at footprint center, z up)
         ox = co * (cam_x - obs.x) + so * (cam_y - obs.y)
         oy = -so * (cam_x - obs.x) + co * (cam_y - obs.y)
-        dmin = math.hypot(max(abs(ox) - obs.length / 2.0, 0.0),
-                          max(abs(oy) - obs.width / 2.0, 0.0))
-        n = int(np.searchsorted(_NEG_REACH, -(dmin - 1e-6 * (1.0 + dmin)), side="right"))
-        ray_x, ray_y = _REACH_X[:n], _REACH_Y[:n]
+        half_l, half_w = obs.length / 2.0, obs.width / 2.0
+        dmin = math.hypot(max(abs(ox) - half_l, 0.0), max(abs(oy) - half_w, 0.0))
+        cut = dmin - 1e-6 * (1.0 + dmin)
+        lo = int(np.searchsorted(_CULL_REACH, cut))
+        hi = _SKY_START
+        rise = obs.height - CAMERA_HEIGHT
+        if rise > 0.0:
+            hi += int(np.searchsorted(_NEG_SKY_SLOPE, -cut / rise, side="right"))
+        ray_x, ray_y = _CULL_X[lo:hi], _CULL_Y[lo:hi]
         dxw = c * ray_x - s * ray_y
         dyw = s * ray_x + c * ray_y
         # one row per slab: obstacle-frame x, y and world z
-        d = np.empty((3, n))
+        d = np.empty((3, hi - lo))
         d[0] = co * dxw + so * dyw
         d[1] = -so * dxw + co * dyw
-        d[2] = _REACH_Z[:n]
-        origin = np.array([[ox], [oy], [CAMERA_HEIGHT]])
-        half_lo = np.array([[-obs.length / 2.0], [-obs.width / 2.0], [0.0]])
-        half_hi = np.array([[obs.length / 2.0], [obs.width / 2.0], [obs.height]])
+        d[2] = _CULL_Z[lo:hi]
         parallel = np.abs(d) < 1e-12
-        safe_d = np.where(parallel, 1.0, d)
-        t1 = (half_lo - origin) / safe_d
-        t2 = (half_hi - origin) / safe_d
+        edge_on = bool(parallel.any())
+        if edge_on:
+            d = np.where(parallel, 1.0, d)
+        # each slab's two faces, as ray parameters
+        t1 = np.array([[-half_l - ox], [-half_w - oy], [0.0 - CAMERA_HEIGHT]]) / d
+        t2 = np.array([[half_l - ox], [half_w - oy], [obs.height - CAMERA_HEIGHT]]) / d
         near = np.minimum(t1, t2)
         far = np.maximum(t1, t2)
-        inside_slab = (origin >= half_lo) & (origin <= half_hi)
-        near = np.where(parallel, np.where(inside_slab, -np.inf, np.inf), near)
-        far = np.where(parallel, np.where(inside_slab, np.inf, -np.inf), far)
-        tmin = np.maximum(near.max(axis=0), 0.0)
-        tmax = far.min(axis=0)
-        hit = (tmax >= tmin) & (tmin > 1e-9) & (tmin < _REACH_T[:n])
-        img[_BY_REACH[:n][hit]] = OBSTACLE_COLOR
+        if edge_on:
+            # a ray parallel to a slab is inside it for all t or for none
+            inside = np.array([[-half_l <= ox <= half_l], [-half_w <= oy <= half_w],
+                               [0.0 <= CAMERA_HEIGHT <= obs.height]])
+            near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+            far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+        # the entry parameter max(near, 0) counts only above 1e-9, where it
+        # is the largest near face
+        tmin = near.max(axis=0)
+        hit = (far.min(axis=0) >= tmin) & (tmin > 1e-9) & (tmin < _CULL_T[lo:hi])
+        img[_CULL_IDX[lo:hi][hit]] = OBSTACLE_COLOR
 
     return img.reshape(IMG_H, IMG_W)
 
@@ -300,7 +321,13 @@ def apply_weather(img: np.ndarray, weather: WeatherModel,
     test runs on its own square window of pixels (see _DROP_OFFSETS)
     instead of the whole frame. The windows are max-scattered onto a
     padded canvas (exact in any order) whose image part then caps the
-    frame from below, as the full-frame test did; the draws are the same."""
+    frame from below, as the full-frame test did; the draws are the same.
+    A uint8 frame under a weather that changes nothing and draws nothing
+    comes back as a copy."""
+    if (img.dtype == np.uint8 and weather.contrast_gain == 1.0
+            and weather.brightness_offset == 0.0
+            and not weather.noise_sigma > 0 and not weather.droplet_rate > 0):
+        return img.copy()
     out = weather.contrast_gain * (img.astype(np.float64) - 128.0) + 128.0
     out += weather.brightness_offset
     if weather.noise_sigma > 0:
@@ -426,8 +453,9 @@ class EpisodePath:
     seed: object
     observations: tuple[np.ndarray, ...] | None = None
     # why an "error" outcome ended the episode: "<type>: <message>" of the
-    # controller's exception, or "unsafe start pose: ..." for a jittered
-    # start outside the safe set
+    # controller's exception, "non-finite steering: <value>" for a NaN or
+    # infinite command, or "unsafe start pose: ..." for a jittered start
+    # outside the safe set
     error: str | None = None
 
     @property
@@ -470,9 +498,14 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
         try:
             steering, report = controller.act(obs, state, scenario, rng_ctrl)
         except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            # a NaN pose would pass every safety test
+            if not math.isfinite(steering):
+                error = f"non-finite steering: {float(steering)!r}"
+        if error is not None:
             records.append(StepRecord(k, state, 0.0, 0.0, None, None))
             outcome = "error"
-            error = f"{type(exc).__name__}: {exc}"
             break
         warning = report.warning if report is not None else None
         if monitor is not None:

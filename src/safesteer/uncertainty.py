@@ -57,13 +57,16 @@ class PredictiveDistribution:
         p = self.per_sample_probs
         if p.ndim != 2 or p.shape[0] < 1:
             raise ValueError("need an (n, K) matrix with n >= 1")
-        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("rows must sum to 1")
+        # written so that a NaN fails both tests
+        if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9:
+            raise ValueError("rows must be finite and sum to 1")
+        if not p.min() >= 0.0:
+            raise ValueError("probabilities must be non-negative")
 
     @classmethod
     def from_samples(cls, rows: np.ndarray) -> "PredictiveDistribution":
         rows = np.asarray(rows, dtype=np.float64)
-        return cls(rows, rows.mean(axis=0))
+        return cls(rows, rows.sum(axis=0) / rows.shape[0])  # the column means
 
     @property
     def n_samples(self) -> int:
@@ -126,21 +129,23 @@ def decision_confidence(pred: PredictiveDistribution, decision: Decision,
     if eps <= 0:
         raise ValueError("eps must be positive")
     votes = np.argmax(pred.per_sample_probs, axis=1)
-    centers = bins.centers()[votes]
+    # each vote's bin center, as Binning.centers() computes it
+    centers = bins.lo + (votes + 0.5) * bins.width
     # small slack so a center distance of exactly eps survives float rounding
     inside = np.abs(centers - decision.steering) <= eps + 1e-12
-    return float(inside.mean())
+    return int(np.count_nonzero(inside)) / inside.size
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    return -terms.sum(axis=-1)
+    """-sum p log p along the last axis, with 0 log 0 = 0."""
+    logp = np.log(p, out=np.zeros(p.shape), where=p > 0.0)
+    return -(p * logp).sum(axis=-1)
 
 
 def mutual_information(pred: PredictiveDistribution) -> float:
     """Disagreement among samples in nats: H(mean) - mean per-sample H."""
-    mi = float(_entropy(pred.mean_probs) - _entropy(pred.per_sample_probs).mean())
+    per_sample = _entropy(pred.per_sample_probs)
+    mi = float(_entropy(pred.mean_probs) - per_sample.sum() / per_sample.size)
     return max(mi, 0.0)
 
 

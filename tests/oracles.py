@@ -10,7 +10,9 @@ single-weight-vector forward once per sample, and the camera references
 full-frame camera and weather stages kept as they were before the
 pose-invariant ray tables and the windowed droplets: they read the
 simulator's constants and call `Path.distance_sq_many` for the ground
-shading.
+shading. The confidence references `decision_confidence_reference` and
+`mutual_information_reference` are the package's bodies as they were
+before they were rewritten with fewer array calls; they use its Binning.
 """
 
 import math
@@ -21,6 +23,7 @@ from safesteer.sim import (CAMERA_FORWARD, CAMERA_HEIGHT, DROPLET_BRIGHTNESS,
                            DROPLET_RADIUS, IMG_H, IMG_W, MARK_BAND, MARKING,
                            OBSTACLE_COLOR, OFFROAD, ROAD, SKY, VIEW_RANGE,
                            _pixel_rays)
+from safesteer.uncertainty import DEFAULT_BINNING
 
 _RAY_X, _RAY_Y, _RAY_Z = _pixel_rays()
 
@@ -311,3 +314,27 @@ def apply_weather_reference(img, weather, rng):
                       + ((np.arange(h)[:, None] - cy) / ay) ** 2 <= 1.0)
             np.maximum(out, np.where(inside, val, -np.inf).max(axis=0), out=out)
     return np.clip(np.rint(out), 0.0, 255.0).astype(np.uint8)
+
+
+def decision_confidence_reference(pred, decision, eps=0.1, bins=DEFAULT_BINNING):
+    """Fraction of weight samples whose own most likely steering lands within
+    eps of the deployed decision."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    votes = np.argmax(pred.per_sample_probs, axis=1)
+    centers = bins.centers()[votes]
+    # small slack so a center distance of exactly eps survives float rounding
+    inside = np.abs(centers - decision.steering) <= eps + 1e-12
+    return float(inside.mean())
+
+
+def entropy_reference(p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def mutual_information_reference(pred):
+    """Disagreement among samples in nats: H(mean) - mean per-sample H."""
+    mi = float(entropy_reference(pred.mean_probs) - entropy_reference(pred.per_sample_probs).mean())
+    return max(mi, 0.0)

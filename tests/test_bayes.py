@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safesteer import bayes, nn
-from safesteer.datasets import FeatureDataset, ImageDataset
+from safesteer.datasets import FeatureDataset, ImageDataset, image_to_input, images_to_input
 from oracles import (central_diff, leapfrog_harmonic, max_rel_error, naive_forward,
                      sample_weights_hmc_reference, sample_weights_per_row)
 
@@ -126,6 +126,14 @@ def test_extract_features_matches_naive_oracle():
     n_ext = nn.param_count(ext_spec)
     want = naive_forward(ext_spec, w[:n_ext], img[..., None] / 255.0)
     assert np.abs(feats - want).max() < 1e-10
+
+
+def test_images_to_input_equals_the_per_image_map():
+    images = np.random.default_rng(8).integers(0, 256, (5, 48, 64)).astype(np.uint8)
+    for batch in (images, images[..., None], list(images), images[2:3]):
+        got = images_to_input(batch)
+        want = np.stack([image_to_input(img) for img in batch])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_extract_features_rejects_bad_shape():

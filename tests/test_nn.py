@@ -117,14 +117,29 @@ def test_im2col_equals_the_slice_copy_loop_on_the_default_conv_layers(batch):
         x = rng.normal(0, 1, (batch,) + spec.plan.in_shapes[i])
         got = nn._im2col(x, layer.kernel, layer.stride)
         want = im2col_reference(x, layer.kernel, layer.stride)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.reshape(want.shape).tobytes() == want.tobytes()
 
 
 def test_im2col_equals_the_slice_copy_loop_at_stride_1_with_channels():
     x = np.random.default_rng(4).normal(0, 1, (2, 7, 6, 3))
     got = nn._im2col(x, 3, 1)
     want = im2col_reference(x, 3, 1)
-    assert got.shape == want.shape == (2, 5, 4, 27) and got.tobytes() == want.tobytes()
+    assert got.shape == (2, 5, 4, 3, 3, 3) and want.shape == (2, 5, 4, 27)
+    assert got.reshape(want.shape).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "sliced"])
+def test_im2col_is_a_read_only_view(layout):
+    x = np.random.default_rng(5).normal(0, 1, (3, 11, 9, 2))
+    if layout == "sliced":
+        x = np.random.default_rng(5).normal(0, 1, (3, 11, 18, 2))[:, :, ::2]
+    got = nn._im2col(x, 3, 2)
+    assert not got.flags.writeable
+    assert got.shape == (3, 5, 4, 3, 3, 2)
+    if layout == "contiguous":
+        assert np.shares_memory(got, x) and got.base is x  # no copy of the input
+    want = im2col_reference(x, 3, 2)
+    assert got.reshape(want.shape).tobytes() == want.tobytes()
 
 
 def test_forward_is_pure():

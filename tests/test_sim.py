@@ -219,20 +219,65 @@ def _render_cases():
             # the obstacle behind the camera
             cam = _obstacle_point(obs, hl + rng.uniform(0.0, 20.0), rng.uniform(-3.0, 3.0))
             cases.append((scn, _camera_pose(*cam, obs.heading + rng.uniform(-1.2, 1.2))))
+    sky = np.flatnonzero(sim._RAY_Z > 1e-12)
+    for height in SKY_TEST_HEIGHTS:
+        for base in (straight, tilted):
+            scn = dataclasses.replace(base, obstacle=dataclasses.replace(base.obstacle,
+                                                                         height=height))
+            obs = scn.obstacle
+            hl, hw = obs.length / 2.0, obs.width / 2.0
+            for _ in range(100):
+                # the camera 0.5-10 m in front of the near face, looking at it
+                cam = _obstacle_point(obs, -hl - rng.uniform(0.5, 10.0),
+                                      rng.uniform(-hw - 1.0, hw + 1.0))
+                cases.append((scn, _camera_pose(*cam, obs.heading + rng.uniform(-0.6, 0.6))))
+                # a sky ray aimed square at the near face, with the camera at
+                # the distance where the ray climbs to the box top on the face:
+                # the sky rays' prune cuts off there
+                k = rng.choice(sky)
+                slope = math.hypot(sim._RAY_X[k], sim._RAY_Y[k]) / sim._RAY_Z[k]
+                reach = (height - sim.CAMERA_HEIGHT) * slope
+                reach *= 1.0 + rng.choice([-1e-9, 0.0, 1e-9])
+                heading = obs.heading - math.atan2(sim._RAY_Y[k], sim._RAY_X[k])
+                cam = _obstacle_point(obs, -hl - max(reach, 0.5), rng.uniform(-hw, hw))
+                cases.append((scn, _camera_pose(*cam, heading)))
     return cases
+
+
+# Obstacle heights for the sky rays' prune: at, just above and well above the
+# camera height
+SKY_TEST_HEIGHTS = (sim.CAMERA_HEIGHT, sim.CAMERA_HEIGHT + 1e-9, 2.0, 3.5)
 
 
 def test_render_matches_full_frame_reference_bytes():
     cases = _render_cases()
     assert len(cases) >= 5000
     hits = 0
+    # the sky pixels that the obstacle covers, by obstacle height
+    sky = (sim._RAY_Z > 1e-12).reshape(sim.IMG_H, sim.IMG_W)
+    sky_hits = dict.fromkeys(SKY_TEST_HEIGHTS, 0)
     for scn, state in cases:
         img = sim.render(state, scn)
-        ref = render_reference(state, scn)
+        with np.errstate(invalid="ignore"):  # inf * 0 on a sky ray seen edge-on
+            ref = render_reference(state, scn)
         assert img.shape == ref.shape and img.dtype == ref.dtype == np.uint8
         assert img.tobytes() == ref.tobytes(), (scn.kind, scn.obstacle, state)
         hits += bool((img == sim.OBSTACLE_COLOR).any())
+        if scn.obstacle is not None and scn.obstacle.height in sky_hits:
+            sky_hits[scn.obstacle.height] += int((img[sky] == sim.OBSTACLE_COLOR).sum())
     assert hits >= 1000  # the obstacle is in view in a good share of the cases
+    # a box no taller than the camera hides no sky beyond 1e-9 m of it
+    assert sky_hits[sim.CAMERA_HEIGHT] == sky_hits[sim.CAMERA_HEIGHT + 1e-9] == 0
+    assert sky_hits[2.0] >= 2000 and sky_hits[3.5] >= 2000, sky_hits
+
+
+def test_visible_ground_table_is_far_from_the_view_range():
+    """`render` reads the visible ground rays from a table built at import,
+    where the per-pose test rotated each ray first. Rotation rounds a reach
+    by far less than a metre, so no ray may lie within a metre of the edge."""
+    ground = sim._RAY_Z < -1e-12
+    gap = np.abs(sim._REACH[ground] - sim.VIEW_RANGE).min()
+    assert gap > 1.0, gap
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +342,27 @@ def test_apply_weather_matches_full_frame_reference_bytes_and_draws(weather):
             borders += [lit[0].any(), lit[-1].any(), lit[:, 0].any(), lit[:, -1].any()]
     if weather == DROPLETS_ONLY:
         assert (borders > 0).all(), borders  # droplets clipped at all four borders
+
+
+IDENTITY_WEATHERS = (sim.WEATHER_PRESETS["clear"], sim.WeatherModel(brightness_offset=-0.0),
+                     sim.WeatherModel(noise_sigma=-1.0, droplet_rate=-3.0))
+
+
+@pytest.mark.parametrize("weather", IDENTITY_WEATHERS)
+def test_identity_weather_copies_the_frame_and_draws_nothing(weather):
+    rendered = sim.render(sim.VehicleState(30.0, 0.3, 0.05, 8.0), sim.straight_obstacle_scenario())
+    ramp = (np.arange(48 * 64) % 256).astype(np.uint8).reshape(48, 64)
+    frames = [rendered, ramp, np.zeros((9, 13), dtype=np.uint8), np.asfortranarray(ramp),
+              ramp[::2, 1::3], ramp.astype(np.float64) + 0.4]  # the last takes the long path
+    for seed, img in enumerate(frames):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        before = rng.bit_generator.state
+        out = sim.apply_weather(img, weather, rng)
+        ref = apply_weather_reference(img, weather, ref_rng)
+        assert out.dtype == ref.dtype == np.uint8 and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes(), seed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state == before
+        assert not np.shares_memory(out, img)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +498,18 @@ def test_episode_error_outcome():
     assert path.outcome == "error"
     assert path.error == "RuntimeError: sensor died"
     assert sim.run_episode(scn, ConstantController(0.0), None, seed=0).error is None
+
+
+@pytest.mark.parametrize("monitored", [False, True])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_episode_non_finite_steering_is_an_error_not_a_collision(value, monitored):
+    # a NaN pose passes every safety test, so the command itself is checked
+    scn = sim.straight_obstacle_scenario(disturbances=QUIET)
+    monitor = sim.MonitorPolicy() if monitored else None
+    path = sim.run_episode(scn, ConstantController(value), monitor, seed=0)
+    assert path.outcome == "error" and not path.safe
+    assert path.error == f"non-finite steering: {float(value)!r}"
+    assert path.records == (sim.StepRecord(0, path.records[0].state, 0.0, 0.0, None, None),)
 
 
 def test_episode_unsafe_start_pose_is_an_error_not_a_violation():

@@ -1,0 +1,75 @@
+"""The benchmark's per-layer timings (`perfbench/run.py --trace 1`) come from
+wrappers that replace package functions at their module or class
+attributes (`perfbench/workloads.py`, `install_spans`). A call that reaches
+a layer some other way, say through a local alias or an inlined body, is
+invisible to them and its metric goes missing. These tests wrap the same
+attributes and check that one monitored MC-dropout rain episode and one
+HMC clear episode call every per-step layer through them, once per step."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from safesteer import bayes, controllers, geometry, nn, sim, uncertainty
+
+# (owner, attribute) of every per-episode function the benchmark traces
+TRACED = (
+    (sim, "run_episode"), (sim, "render"), (sim, "apply_weather"), (sim, "step"),
+    (sim, "is_safe"), (nn, "forward_batch"), (nn, "sample_dropout_mask"),
+    (bayes, "extract_features"), (bayes, "sample_weights"),
+    (uncertainty, "predictive"), (uncertainty, "decide"),
+    (uncertainty, "confidence_report"), (geometry.Path, "project"),
+    (geometry.Path, "distance_sq_many"), (controllers.BnnController, "act"),
+)
+# called once per step of a monitored episode
+ONCE_PER_STEP = ("render", "apply_weather", "step", "act", "extract_features",
+                 "predictive", "decide", "confidence_report", "distance_sq_many")
+
+
+def _count_calls(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for owner, name in TRACED:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _posteriors():
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(7)
+    mcd = bayes.McdPosterior(spec, nn.init_weights(spec, rng))
+    hw = bayes.head_weights(mcd)
+    samples = hw + 0.05 * rng.standard_normal((6, hw.size))
+    return mcd, bayes.HmcPosterior(spec.plan.head_spec, samples)
+
+
+@pytest.mark.parametrize("kind,weather", [("mcd", "rain"), ("hmc", "clear")])
+def test_monitored_episode_calls_every_traced_layer_through_its_attribute(
+        monkeypatch, kind, weather):
+    mcd, hmc = _posteriors()
+    ctl = controllers.BnnController(mcd, mcd if kind == "mcd" else hmc)
+    scn = sim.straight_obstacle_scenario(weather=weather)
+    calls = _count_calls(monkeypatch)
+    path = sim.run_episode(scn, ctl, sim.MonitorPolicy(), seed=[3, 1])
+    steps = len(path.records)
+    assert path.outcome != "error" and steps >= 2, (path.outcome, path.error)
+
+    expected = {name for _, name in TRACED}
+    # MC dropout draws head masks, HMC draws stored samples
+    expected.discard("sample_weights" if kind == "mcd" else "sample_dropout_mask")
+    assert set(calls) == expected, expected ^ set(calls)
+    assert calls["run_episode"] == 1
+    for name in ONCE_PER_STEP:
+        assert calls[name] == steps, (name, calls[name], steps)
+    assert calls["forward_batch"] == 2 * steps  # the extractor, then the head
+    assert calls["sample_dropout_mask" if kind == "mcd" else "sample_weights"] == steps
+    # the start pose and every step are checked; a step that does not end
+    # the episode also looks for the end of the road
+    assert calls["is_safe"] == steps + 1
+    assert calls["project"] in (2 * steps, 2 * steps + 1)

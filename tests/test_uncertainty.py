@@ -8,7 +8,8 @@ from safesteer.uncertainty import (Binning, Decision, PredictiveDistribution,
                                    bin_center, classify_warning, decide,
                                    decision_confidence, mutual_information,
                                    predictive, steering_to_class)
-from oracles import predictive_per_sample
+from oracles import (decision_confidence_reference, entropy_reference,
+                     mutual_information_reference, predictive_per_sample)
 
 BINS = Binning()
 
@@ -271,3 +272,64 @@ def test_warning_monotone():
 def test_predictive_row_validation():
     with pytest.raises(ValueError):
         PredictiveDistribution(np.array([[0.5, 0.2]]), np.array([0.5, 0.2]))
+    good = [0.25, 0.25, 0.5]
+    for bad in ([math.nan, 0.5, 0.5], [math.nan] * 3, [math.inf, 0.0, 0.0],
+                [-math.inf, 1.0, 1.0], [math.inf, -math.inf, 1.0],
+                [1.5, -0.5, 0.0], [-0.0001, 0.5, 0.5001], [-1e-300, 0.5, 0.5]):
+        rows = np.array([good, bad, good])
+        with np.errstate(invalid="ignore"):  # inf - inf in the row sums
+            with pytest.raises(ValueError, match="finite|non-negative"):
+                PredictiveDistribution.from_samples(rows)
+            with pytest.raises(ValueError, match="finite|non-negative"):
+                PredictiveDistribution(rows, np.array(good))
+    # exact zeros, -0.0 and rounding within 1e-9 of a unit sum are accepted
+    ok = np.array([good, [-0.0, 1.0, 0.0], [0.5, 0.5 - 1e-12, 0.0]])
+    assert PredictiveDistribution.from_samples(ok).n_samples == 3
+
+
+def _hex(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+def _confidence_cases():
+    """(n, K) probability matrices with exact zeros, one-hot rows and ties,
+    and random rows with and without zeroed entries."""
+    rng = np.random.default_rng(14)
+    tie = np.zeros((6, 20))
+    tie[:, [4, 9]] = 0.5                        # every row a two-way tie
+    uniform = np.full((5, 20), 1.0 / 20)        # a 20-way tie
+    mixed = one_hot_rows([3, 3, 17, 0, 19, 9, 10, 11])
+    mixed[5] = tie[0]
+    cases = [one_hot_rows([5] * 32), one_hot_rows(list(range(20)) + [7] * 12), tie,
+             uniform, mixed, np.array([[1.0, 0.0]] * 5 + [[0.0, 1.0]] * 5),
+             np.array([[1.0]]), one_hot_rows([0])]
+    for _ in range(60):
+        k = int(rng.choice([2, 3, 20]))
+        rows = rng.dirichlet(np.full(k, rng.choice([0.05, 1.0, 5.0])), size=rng.integers(1, 40))
+        if rng.random() < 0.5:  # zero some entries, renormalize
+            rows = np.where(rng.random(rows.shape) < 0.3, 0.0, rows)
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            rows = rows / rows.sum(axis=1, keepdims=True)
+        cases.append(rows)
+    return cases
+
+
+def test_confidence_and_mi_bytes_equal_the_reference_bodies():
+    for rows in _confidence_cases():
+        pred = pred_from_rows(rows)
+        assert pred.mean_probs.tobytes() == rows.mean(axis=0).tobytes()
+        k = rows.shape[1]
+        bins = Binning(num_classes=k)
+        for p in (pred.per_sample_probs, pred.mean_probs):
+            got, want = uncertainty._entropy(p), entropy_reference(p)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert _hex(got) == _hex(want)
+        got = mutual_information(pred)
+        assert type(got) is float
+        assert got.hex() == mutual_information_reference(pred).hex()
+        for decision in (decide(pred, bins), Decision(0, bin_center(0, bins)),
+                         Decision(k - 1, bin_center(k - 1, bins))):
+            for eps in (0.1, 0.05, 2.0 / k, 1e-3, 3.0):
+                got = decision_confidence(pred, decision, eps, bins)
+                want = decision_confidence_reference(pred, decision, eps, bins)
+                assert type(got) is float and got.hex() == want.hex()
