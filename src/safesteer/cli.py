@@ -88,11 +88,11 @@ def _parse_weathers(text: str) -> tuple[str, ...]:
 
 
 def training_accuracy(mcd: bayes.McdPosterior, ds) -> float:
-    """Mask-free argmax accuracy over the training images."""
-    from .datasets import images_to_input
-
-    x = images_to_input(ds.images)
-    logits = nn.forward_batch(mcd.spec, mcd.weights, x)
+    """Mask-free argmax accuracy over the training images: one head pass
+    over their (chunked) extractor features."""
+    plan = mcd.spec.plan
+    feats = bayes.extract_features_batch(mcd, ds.images)
+    logits = nn.forward_batch(plan.head_spec, mcd.weights[plan.head_slice], feats)
     return float(np.mean(np.argmax(logits, axis=1) == ds.labels))
 
 

@@ -64,6 +64,8 @@ class NetworkPlan:
     - `slices`: per conv/fc layer, the (kernel, bias) slices of the flat
       weight vector, None for relu and flatten;
     - `param_count`: the length of the flat weight vector;
+    - `first_weighted`: index of the lowest conv/fc layer, where backprop
+      stops (None if there is none);
     - `dropout`: index -> input width of every layer that draws a mask.
 
     The extractor/head split (`feature_boundary`, `head_spec`,
@@ -112,6 +114,7 @@ class NetworkPlan:
         self.kernel_shapes = tuple(kernel_shapes)
         self.slices = tuple(slices)
         self.param_count = offset
+        self.first_weighted = next((i for i, s in enumerate(slices) if s is not None), None)
         self.dropout = {i: in_shapes[i][0] for i, layer in enumerate(layers)
                         if layer.dropout_rate > 0.0}
 
@@ -360,6 +363,7 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
 
     grad = np.zeros_like(w)
     delta = dlogits
+    first = plan.first_weighted  # nothing reads the input gradient below it
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         if layer.kind == "conv":
@@ -369,6 +373,8 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
             dmat = delta.reshape(batch * ho * wo, layer.filters)
             grad[bsl] = dmat.sum(axis=0)
             grad[wsl] = (cols.T @ dmat).ravel()
+            if i == first:
+                break
             dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(
                 batch, ho, wo, cols.shape[1])
             delta = _col2im(dcols, (batch,) + plan.in_shapes[i], layer.kernel, layer.stride)
@@ -376,6 +382,8 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
             wsl, bsl = plan.slices[i]
             grad[bsl] = delta.sum(axis=0)
             grad[wsl] = (acts[i].T @ delta).ravel()
+            if i == first:
+                break
             delta = delta @ w[wsl].reshape(plan.kernel_shapes[i]).T
             if mask is not None and i in mask:
                 delta = delta * mask[i] / (1.0 - layer.dropout_rate)

@@ -62,6 +62,11 @@ class PredictiveDistribution:
             raise ValueError("rows must be finite and sum to 1")
         if not p.min() >= 0.0:
             raise ValueError("probabilities must be non-negative")
+        m = self.mean_probs
+        if m.shape != p.shape[1:]:
+            raise ValueError(f"mean_probs has shape {m.shape}, expected {p.shape[1:]}")
+        if not (m.min() >= 0.0 and m.max() < math.inf):  # a NaN fails both
+            raise ValueError("mean probabilities must be finite and non-negative")
 
     @classmethod
     def from_samples(cls, rows: np.ndarray) -> "PredictiveDistribution":

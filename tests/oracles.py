@@ -13,6 +13,11 @@ simulator's constants and call `Path.distance_sq_many` for the ground
 shading. The confidence references `decision_confidence_reference` and
 `mutual_information_reference` are the package's bodies as they were
 before they were rewritten with fewer array calls; they use its Binning.
+The whole-dataset references `extract_features_batch_reference` and
+`training_accuracy_reference` (one pass over every frame, before passes
+ran in fixed chunks) and `nll_and_grad_batch_reference` (backprop down to
+the input, before it stopped at the lowest weighted layer) are the
+package's bodies as they were, calling its forward loop.
 """
 
 import math
@@ -338,3 +343,76 @@ def mutual_information_reference(pred):
     """Disagreement among samples in nats: H(mean) - mean per-sample H."""
     mi = float(entropy_reference(pred.mean_probs) - entropy_reference(pred.per_sample_probs).mean())
     return max(mi, 0.0)
+
+
+def extract_features_batch_reference(mcd, images):
+    """Features of a stack of frames as one whole-stack extractor pass,
+    whatever its size."""
+    from safesteer import nn
+    from safesteer.datasets import images_to_input
+
+    boundary = mcd.spec.plan.feature_boundary
+    x = images_to_input(images)
+    if x.shape[1:] != tuple(mcd.spec.input_shape):
+        raise ValueError(f"image shape {x.shape[1:]} != {tuple(mcd.spec.input_shape)}")
+    return nn.forward_batch(mcd.spec, mcd.weights, x, stop_after=boundary - 1)
+
+
+def training_logits_reference(mcd, images):
+    """Mask-free logits of one full-network pass over all the images."""
+    from safesteer import nn
+    from safesteer.datasets import images_to_input
+
+    return nn.forward_batch(mcd.spec, mcd.weights, images_to_input(images))
+
+
+def training_accuracy_reference(mcd, ds):
+    """Mask-free argmax accuracy over the training images."""
+    logits = training_logits_reference(mcd, ds.images)
+    return float(np.mean(np.argmax(logits, axis=1) == ds.labels))
+
+
+def nll_and_grad_batch_reference(spec, w, x, labels, mask=None, mean=True):
+    """Softmax cross-entropy over a batch and its weight gradient, with
+    backprop carried down to the input gradient of layer 0."""
+    from safesteer.nn import _check_mask, _col2im, _forward, _log_softmax
+
+    batch = x.shape[0]
+    _check_mask(spec, mask, batch)
+    plan = spec.plan
+    acts: list = []
+    logp = _log_softmax(_forward(spec, w, x, mask, acts=acts))
+    rows = np.arange(batch)
+    loss = float(-logp[rows, labels].sum())
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    if mean:
+        loss /= batch
+        dlogits /= batch
+
+    grad = np.zeros_like(w)
+    delta = dlogits
+    for i in range(len(spec.layers) - 1, -1, -1):
+        layer = spec.layers[i]
+        if layer.kind == "conv":
+            wsl, bsl = plan.slices[i]
+            cols = acts[i]  # (batch*ho*wo, k*k*c)
+            ho, wo, _ = plan.out_shapes[i]
+            dmat = delta.reshape(batch * ho * wo, layer.filters)
+            grad[bsl] = dmat.sum(axis=0)
+            grad[wsl] = (cols.T @ dmat).ravel()
+            dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(
+                batch, ho, wo, cols.shape[1])
+            delta = _col2im(dcols, (batch,) + plan.in_shapes[i], layer.kernel, layer.stride)
+        elif layer.kind == "fc":
+            wsl, bsl = plan.slices[i]
+            grad[bsl] = delta.sum(axis=0)
+            grad[wsl] = (acts[i].T @ delta).ravel()
+            delta = delta @ w[wsl].reshape(plan.kernel_shapes[i]).T
+            if mask is not None and i in mask:
+                delta = delta * mask[i] / (1.0 - layer.dropout_rate)
+        elif layer.kind == "relu":
+            delta = delta * (acts[i] > 0.0)
+        else:
+            delta = delta.reshape(acts[i])
+    return loss, grad

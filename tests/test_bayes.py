@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from safesteer import bayes, nn
+from safesteer import bayes, cli, nn, sim
 from safesteer.datasets import FeatureDataset, ImageDataset, image_to_input, images_to_input
-from oracles import (central_diff, leapfrog_harmonic, max_rel_error, naive_forward,
-                     sample_weights_hmc_reference, sample_weights_per_row)
+from oracles import (central_diff, extract_features_batch_reference, leapfrog_harmonic,
+                     max_rel_error, naive_forward, sample_weights_hmc_reference,
+                     sample_weights_per_row, training_accuracy_reference,
+                     training_logits_reference)
 
 PRIOR = bayes.Prior(1.0)
 
@@ -141,6 +144,64 @@ def test_extract_features_rejects_bad_shape():
     post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
     with pytest.raises(ValueError):
         bayes.extract_features(post, np.zeros((10, 10), dtype=np.uint8))
+
+
+def test_extract_features_batch_rejects_bad_shape_in_chunks():
+    spec = nn.default_network_spec(2)
+    post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="image shape"):
+        bayes.extract_features_batch(post, np.zeros((40, 48, 63), dtype=np.uint8))
+
+
+def _mcd(seed=11):
+    """Default network with random kernels and small non-zero biases."""
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(seed)
+    w = nn.init_weights(spec, rng) + 0.01 * rng.standard_normal(nn.param_count(spec))
+    return bayes.McdPosterior(spec, w)
+
+
+@pytest.fixture(scope="module")
+def collected():
+    """The 604 frames of a 4-episode collection."""
+    ds = sim.collect_dataset(sim.straight_obstacle_scenario(), 4, 5, 2)
+    assert len(ds) == 604
+    return ds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 31, 32, 33, 47, 64, 65, 100])
+def test_chunked_extraction_equals_one_whole_stack_pass(n):
+    mcd = _mcd()
+    images = np.random.default_rng(n).integers(0, 256, (n, 48, 64)).astype(np.uint8)
+    got = bayes.extract_features_batch(mcd, images)
+    want = extract_features_batch_reference(mcd, images)
+    assert got.shape == want.shape == (n, nn.FEATURE_DIM)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_chunked_extraction_and_training_accuracy_equal_the_whole_dataset_pass(collected):
+    mcd = _mcd()
+    got = bayes.extract_features_batch(mcd, collected.images)
+    assert got.tobytes() == extract_features_batch_reference(mcd, collected.images).tobytes()
+    # the head pass over the chunked features gives the full pass's logits
+    plan = mcd.spec.plan
+    logits = nn.forward_batch(plan.head_spec, mcd.weights[plan.head_slice], got)
+    assert logits.tobytes() == training_logits_reference(mcd, collected.images).tobytes()
+    acc = cli.training_accuracy(mcd, collected)
+    assert float(acc).hex() == float(training_accuracy_reference(mcd, collected)).hex()
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_extraction_peak_memory_does_not_grow_with_the_dataset(n):
+    mcd = _mcd()
+    images = np.random.default_rng(n).integers(0, 256, (n, 48, 64)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        bayes.extract_features_batch(mcd, images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 # ---------------------------------------------------------------------------

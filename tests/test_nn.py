@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from safesteer import bayes, io, nn, uncertainty
-from oracles import central_diff, im2col_reference, max_rel_error, naive_forward
+from oracles import (central_diff, im2col_reference, max_rel_error, naive_forward,
+                     nll_and_grad_batch_reference)
 
 
 def small_spec(num_classes=4):
@@ -280,6 +281,35 @@ def test_backward_matches_finite_differences_with_mask():
     grad = nn.backward(spec, w, x, label, mask)
     fd = central_diff(loss_fn(spec, x, label, mask), w)
     assert max_rel_error(grad, fd) < 1e-4
+
+
+def _grad_cases():
+    """(spec, weights, inputs, labels, mask): the default network with
+    dropout masks, its head, and a spec whose first layer is a flatten."""
+    rng = np.random.default_rng(21)
+    spec = nn.default_network_spec(20)
+    w = nn.init_weights(spec, rng) + 0.01 * rng.standard_normal(nn.param_count(spec))
+    x = rng.random((16,) + spec.input_shape)
+    yield spec, w, x, rng.integers(0, 20, 16), nn.sample_dropout_mask(spec, rng, batch=16)
+    head = spec.plan.head_spec
+    hx = rng.standard_normal((40, nn.FEATURE_DIM))
+    yield head, w[spec.plan.head_slice], hx, rng.integers(0, 20, 40), None
+    flat = nn.NetworkSpec((nn.flatten(), nn.fc(7, dropout=0.2), nn.relu(), nn.fc(5)), (3, 4, 2), 5)
+    fw = rng.standard_normal(nn.param_count(flat))
+    yield flat, fw, rng.standard_normal((9, 3, 4, 2)), rng.integers(0, 5, 9), \
+        nn.sample_dropout_mask(flat, rng, batch=9)
+
+
+@pytest.mark.parametrize("mean", [True, False])
+def test_backprop_that_stops_at_the_first_weighted_layer_keeps_the_gradient_bytes(mean):
+    for spec, w, x, labels, mask in _grad_cases():
+        loss, grad = nn.nll_and_grad_batch(spec, w, x, labels, mask, mean=mean)
+        want_loss, want = nll_and_grad_batch_reference(spec, w, x, labels, mask, mean=mean)
+        assert float(loss).hex() == float(want_loss).hex()
+        assert grad.tobytes() == want.tobytes()
+    assert nn.default_network_spec(20).plan.first_weighted == 0
+    assert nn.default_network_spec(20).plan.head_spec.plan.first_weighted == 0
+    assert nn.NetworkSpec((nn.flatten(), nn.fc(5)), (5,), 5).plan.first_weighted == 1
 
 
 def test_backward_bias_gradient_closed_form():

@@ -73,3 +73,20 @@ def test_monitored_episode_calls_every_traced_layer_through_its_attribute(
     # the episode also looks for the end of the road
     assert calls["is_safe"] == steps + 1
     assert calls["project"] in (2 * steps, 2 * steps + 1)
+
+
+def test_one_frame_extraction_is_one_batch_1_forward_pass(monkeypatch):
+    """The per-step extractor call runs a single forward pass of one frame,
+    whatever the whole-dataset passes do."""
+    mcd, _ = _posteriors()
+    batches = []
+    original = nn.forward_batch
+
+    def counted(spec, w, x, *args, **kwargs):
+        batches.append(x.shape[0])
+        return original(spec, w, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward_batch", counted)
+    frame = np.random.default_rng(4).integers(0, 256, (48, 64)).astype(np.uint8)
+    assert bayes.extract_features(mcd, frame).shape == (nn.FEATURE_DIM,)
+    assert batches == [1]

@@ -285,6 +285,18 @@ def test_predictive_row_validation():
     # exact zeros, -0.0 and rounding within 1e-9 of a unit sum are accepted
     ok = np.array([good, [-0.0, 1.0, 0.0], [0.5, 0.5 - 1e-12, 0.0]])
     assert PredictiveDistribution.from_samples(ok).n_samples == 3
+    assert PredictiveDistribution(ok, np.array([0.0, -0.0, 1.0])).n_samples == 3
+    # the mean row is checked too: one entry per class, finite, non-negative
+    rows = np.full((4, 20), 0.05)
+    for bad in (np.full(20, math.nan), np.full(3, 1 / 3), np.full((1, 20), 0.05),
+                np.array(0.05), np.full(21, 0.05)):
+        with pytest.raises(ValueError, match="shape|finite"):
+            PredictiveDistribution(rows, bad)
+    for entry in (math.nan, math.inf, -math.inf, -1e-300):
+        bad = np.full(20, 0.05)
+        bad[7] = entry
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PredictiveDistribution(rows, bad)
 
 
 def _hex(x):
