@@ -22,8 +22,7 @@ from .statcheck import (PrecisionSpec, SafetyEstimate, autonomy_rate,
                         estimate_probabilistic_safety)
 from .uncertainty import (Binning, ConfidenceReport, Decision,
                           PredictiveDistribution, WarningThresholds,
-                          bin_center, classify_warning, decide,
-                          decision_confidence, mutual_information, predictive,
-                          steering_to_class)
+                          bin_center, decide, decision_confidence,
+                          mutual_information, predictive, steering_to_class)
 
 __version__ = "0.1.0"

@@ -22,6 +22,11 @@ from .controllers import BnnController
 ALL_WEATHERS = ("clear", "cloudy", "wet", "rain")
 
 
+POSITIVE_COUNTS = ("n_samples", "episodes", "frame_stride", "epochs", "batch_size", "jobs",
+                   "vi_iterations", "hmc_leapfrog", "hmc_samples", "hmc_thin")
+NON_NEGATIVE_COUNTS = ("log_episodes", "hmc_burn_in")
+
+
 @dataclass
 class RunConfig:
     scenario: str = "straight_obstacle"
@@ -52,6 +57,11 @@ class RunConfig:
     log_episodes: int = 3
 
     def validate(self) -> None:
+        for names, least in ((POSITIVE_COUNTS, 1), (NON_NEGATIVE_COUNTS, 0)):
+            for name in names:
+                value = getattr(self, name)
+                if type(value) is not int or value < least:
+                    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.delta2 >= self.delta1:
             raise ValueError("delta2 must be below delta1")
         statcheck.PrecisionSpec(self.theta, self.gamma)
@@ -130,17 +140,17 @@ def cmd_train(args, cfg: RunConfig) -> int:
     else:
         base = io.load_model(args.mcd_model)
         head = nn.head_spec(base.mcd.spec)
+        init = bayes.head_weights(base.mcd)
+        if args.method == "hmc" and args.vi_model is not None:
+            init = _vi_mean(args.vi_model, init.size)
         feats = bayes.extract_features_batch(base.mcd, ds.images)
         fds = bayes.FeatureDataset(feats, np.asarray(ds.labels, dtype=np.int64))
         prior = bayes.Prior(sigma=args.prior_sigma)
-        init = bayes.head_weights(base.mcd)
         if args.method == "vi":
             meta["iterations"] = cfg.vi_iterations
             vcfg = bayes.ViConfig(cfg.vi_iterations, 1, cfg.vi_lr, cfg.seed)
             post = bayes.train_vi(fds, head, prior, vcfg, init_mu=init)
         else:
-            if args.vi_model is not None:
-                init = io.load_model(args.vi_model).posterior.mu
             hcfg = bayes.HmcConfig(cfg.hmc_step_size, cfg.hmc_leapfrog,
                                    cfg.hmc_burn_in, cfg.hmc_samples, cfg.hmc_thin)
             meta["chain"] = {"burn_in": hcfg.burn_in, "samples": hcfg.samples,
@@ -150,6 +160,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
     io.save_model(model, args.out)
     print(f"wrote {args.method} model to {args.out}")
     return 0
+
+
+def _vi_mean(path, n_params: int) -> np.ndarray:
+    """The mean of the VI model at `path`, which seeds an HMC chain over a
+    head of n_params parameters."""
+    model = io.load_model(path)
+    if model.method != "vi":
+        raise io.ModelFileError(f"{path}: --vi-model needs a vi model, not {model.method}")
+    if model.posterior.mu.size != n_params:
+        raise io.ModelFileError(f"{path}: the VI mean has {model.posterior.mu.size} "
+                                f"parameters, the --mcd-model head has {n_params}")
+    return model.posterior.mu
 
 
 def cmd_eval_safety(args, cfg: RunConfig) -> int:

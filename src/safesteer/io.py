@@ -1,15 +1,15 @@
-"""File formats: PGM observations, JSON model files, dataset directories,
-trajectory CSV logs, and the JSON summary report. Every writer is
-byte-deterministic for identical inputs."""
+"""File formats: PGM observations, model files (a JSON header line and raw
+float64 arrays), dataset directories, trajectory CSV logs, and the JSON
+summary report. Every writer is byte-deterministic for identical inputs."""
 
 from __future__ import annotations
 
-import base64
-import binascii
 import csv
 import hashlib
+import itertools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path as FsPath
 
@@ -19,7 +19,7 @@ from . import bayes, nn
 from .datasets import ImageDataset
 from .statcheck import PrecisionSpec, SafetyEstimate
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 def write_pgm(path, img: np.ndarray) -> None:
@@ -128,84 +128,118 @@ def _spec_from_dict(d: dict) -> nn.NetworkSpec:
     return nn.NetworkSpec(layers, tuple(d["input_shape"]), d["num_classes"])
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    """A float64 array as its exact little-endian bytes, base64-encoded."""
-    a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _decode_array(obj: dict) -> np.ndarray:
-    """The read-only float64 array that _encode_array wrote, viewing the
-    decoded buffer."""
-    shape = obj["shape"]
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ValueError(f"array shape {shape!r} is not a list of non-negative integers")
-    try:
-        data = base64.b64decode(obj["f8le"], validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"array data is not base64: {exc}") from None
-    if len(data) != 8 * math.prod(shape):
-        raise ValueError(f"array data holds {len(data)} bytes, shape {shape} "
-                         f"needs {8 * math.prod(shape)}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape)
+# The arrays after the header, in file order: the network's weights, then
+# the posterior's own parameters.
+POSTERIOR_ARRAYS = {"mcd": (), "vi": ("vi.mu", "vi.rho"), "hmc": ("hmc.samples",)}
 
 
 def save_model(model: TrainedModel, path) -> None:
-    doc: dict = {
+    """One line of JSON header, then every array's little-endian float64
+    bytes back to back, in the order the header's `arrays` lists them."""
+    arrays = {"weights": model.mcd.weights}
+    if isinstance(model.posterior, bayes.ViPosterior):
+        arrays.update({"vi.mu": model.posterior.mu, "vi.rho": model.posterior.rho})
+    elif isinstance(model.posterior, bayes.HmcPosterior):
+        arrays["hmc.samples"] = model.posterior.samples
+    arrays = {name: np.ascontiguousarray(a, dtype="<f8") for name, a in arrays.items()}
+    header = {
         "format_version": MODEL_FORMAT_VERSION,
         "method": model.method,
         "network": _spec_to_dict(model.mcd.spec),
-        "weights": _encode_array(model.mcd.weights),
         "dropout_rates": list(model.mcd.rates),
         "metadata": model.metadata,
+        "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()],
     }
-    if isinstance(model.posterior, bayes.ViPosterior):
-        doc["vi"] = {"mu": _encode_array(model.posterior.mu),
-                     "rho": _encode_array(model.posterior.rho)}
-    elif isinstance(model.posterior, bayes.HmcPosterior):
-        doc["hmc"] = {"samples": _encode_array(model.posterior.samples)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for a in arrays.values():
+            fh.write(a.data)
 
 
 class ModelFileError(ValueError):
-    """A model file that cannot be read as a model: bad JSON, a missing key
-    or a value that fails validation. The message names the file."""
+    """A model file that cannot be read as a model: a bad header, a missing
+    key, a payload of the wrong size or a value that fails validation. The
+    message names the file."""
+
+
+def _read_header(fh) -> dict:
+    """The JSON header line. Versions 1 and 2 were one indented JSON
+    document, whose first line is "{"; such a file is parsed whole so that
+    its format_version can be named."""
+    line = fh.readline()
+    if line == b"{\n":
+        line += fh.read()
+    try:
+        header = json.loads(line)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"model header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError("model header is not a JSON object")
+    return header
+
+
+def _array_shapes(header: dict, method: str) -> list[tuple[str, tuple[int, ...]]]:
+    """The header's (name, shape) list, checked against the method's arrays."""
+    entries = header["arrays"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("arrays must be a list of objects")
+    names = [e["name"] for e in entries]
+    expected = ["weights", *POSTERIOR_ARRAYS[method]]
+    if names != expected:
+        raise ValueError(f"arrays {names} do not match the {method} layout {expected}")
+    out = []
+    for name, e in zip(names, entries):
+        shape = e["shape"]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"array {name!r} shape {shape!r} is not a list of "
+                             "non-negative integers")
+        out.append((name, tuple(shape)))
+    return out
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file; raises ModelFileError if it is malformed."""
+    """Read a model file; raises ModelFileError if it is malformed. The
+    payload is read into one read-only buffer that the arrays view, so
+    overwriting the file later does not change the model."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("not a JSON object")
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported format_version {doc.get('format_version')}; "
-                             f"re-run `train` to write a version {MODEL_FORMAT_VERSION} file")
-        spec = _spec_from_dict(doc["network"])
-        mcd = bayes.McdPosterior(spec, _decode_array(doc["weights"]))
-        if tuple(doc["dropout_rates"]) != mcd.rates:
-            raise ValueError(f"dropout_rates {tuple(doc['dropout_rates'])} disagree "
+        with open(path, "rb") as fh:
+            header = _read_header(fh)
+            if header.get("format_version") != MODEL_FORMAT_VERSION:
+                raise ValueError(f"unsupported format_version {header.get('format_version')}; "
+                                 f"re-run `train` to write a version {MODEL_FORMAT_VERSION} file")
+            method = header["method"]
+            if method not in POSTERIOR_ARRAYS:
+                raise ValueError(f"unknown method {method!r}")
+            spec = _spec_from_dict(header["network"])
+            shapes = _array_shapes(header, method)
+            offsets = list(itertools.accumulate((math.prod(s) for _, s in shapes), initial=0))
+            need = 8 * offsets[-1]
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held != need:  # checked before allocating for a corrupt shape
+                raise ValueError(f"payload holds {held} bytes, the arrays need {need}")
+            flat = np.empty(offsets[-1], dtype="<f8")
+            if fh.readinto(flat) != need or fh.read(1):
+                raise ValueError("payload changed size while it was read")
+        flat.flags.writeable = False
+        arrays = {name: flat[lo:hi].reshape(shape)
+                  for (name, shape), lo, hi in zip(shapes, offsets, offsets[1:])}
+        mcd = bayes.McdPosterior(spec, arrays["weights"])
+        if tuple(header["dropout_rates"]) != mcd.rates:
+            raise ValueError(f"dropout_rates {tuple(header['dropout_rates'])} disagree "
                              f"with the network's {mcd.rates}")
-        method = doc["method"]
         head = nn.head_spec(spec)
         posterior: bayes.Posterior
         if method == "mcd":
             posterior = mcd
         elif method == "vi":
-            posterior = bayes.ViPosterior(head, _decode_array(doc["vi"]["mu"]),
-                                          _decode_array(doc["vi"]["rho"]))
-        elif method == "hmc":
-            posterior = bayes.HmcPosterior(head, _decode_array(doc["hmc"]["samples"]))
+            posterior = bayes.ViPosterior(head, arrays["vi.mu"], arrays["vi.rho"])
         else:
-            raise ValueError(f"unknown method {method!r}")
+            posterior = bayes.HmcPosterior(head, arrays["hmc.samples"])
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
         raise ModelFileError(f"{path}: {exc}") from None
-    return TrainedModel(method, mcd, posterior, doc.get("metadata", {}))
+    return TrainedModel(method, mcd, posterior, header.get("metadata", {}))
 
 
 # ---------------------------------------------------------------------------

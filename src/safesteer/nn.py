@@ -160,11 +160,6 @@ class NetworkSpec:
         object.__setattr__(self, "plan", plan)
 
 
-def layer_shapes(spec: NetworkSpec) -> tuple[Shape, ...]:
-    """Output shape after each layer."""
-    return spec.plan.out_shapes
-
-
 def param_count(spec: NetworkSpec) -> int:
     return spec.plan.param_count
 
@@ -185,11 +180,6 @@ def init_weights(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
 # A dropout mask maps the index of an fc layer with dropout_rate > 0 to a
 # 0/1 vector over that layer's input (batched: one row per example).
 DropoutMask = dict[int, np.ndarray]
-
-
-def dropout_layout(spec: NetworkSpec) -> dict[int, int]:
-    """Index -> input width for every layer that draws a dropout mask."""
-    return spec.plan.dropout
 
 
 def sample_dropout_mask(spec: NetworkSpec, rng: np.random.Generator,

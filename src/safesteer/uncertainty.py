@@ -161,22 +161,6 @@ MI_THRESHOLD_BITS = 0.45
 DEFAULT_MI_THRESHOLD = MI_THRESHOLD_BITS * math.log(2.0)
 
 
-def classify_warning(eta2: float, mutual_info: float, delta1: float = 0.7,
-                     delta2: float = 0.6,
-                     mi_threshold: float = DEFAULT_MI_THRESHOLD) -> str | None:
-    """Tiered warning: W2 below delta2 confidence, W1 below delta1, W0 when
-    confident but mutual information (nats) runs high."""
-    if delta2 >= delta1:
-        raise ValueError("delta2 must be below delta1")
-    if eta2 < delta2:
-        return "W2"
-    if eta2 < delta1:
-        return "W1"
-    if mutual_info > mi_threshold:
-        return "W0"
-    return None
-
-
 @dataclass(frozen=True)
 class WarningThresholds:
     delta1: float = 0.7
@@ -188,8 +172,15 @@ class WarningThresholds:
             raise ValueError("delta2 must be below delta1")
 
     def classify(self, eta2: float, mutual_info: float) -> str | None:
-        return classify_warning(eta2, mutual_info, self.delta1, self.delta2,
-                                self.mi_threshold)
+        """Tiered warning: W2 below delta2 confidence, W1 below delta1, W0
+        when confident but mutual information (nats) runs high."""
+        if eta2 < self.delta2:
+            return "W2"
+        if eta2 < self.delta1:
+            return "W1"
+        if mutual_info > self.mi_threshold:
+            return "W0"
+        return None
 
 
 def confidence_report(pred: PredictiveDistribution, decision: Decision,

@@ -17,13 +17,18 @@ The whole-dataset references `extract_features_batch_reference` and
 `training_accuracy_reference` (one pass over every frame, before passes
 ran in fixed chunks) and `nll_and_grad_batch_reference` (backprop down to
 the input, before it stopped at the lowest weighted layer) are the
-package's bodies as they were, calling its forward loop.
+package's bodies as they were, calling its forward loop. `save_model_v2`
+is the model writer of format version 2 (one JSON document with base64
+arrays), kept to check that such a file is refused with a hint.
 """
 
+import base64
+import json
 import math
 
 import numpy as np
 
+from safesteer import bayes, io
 from safesteer.sim import (CAMERA_FORWARD, CAMERA_HEIGHT, DROPLET_BRIGHTNESS,
                            DROPLET_RADIUS, IMG_H, IMG_W, MARK_BAND, MARKING,
                            OBSTACLE_COLOR, OFFROAD, ROAD, SKY, VIEW_RANGE,
@@ -416,3 +421,27 @@ def nll_and_grad_batch_reference(spec, w, x, labels, mask=None, mean=True):
         else:
             delta = delta.reshape(acts[i])
     return loss, grad
+
+
+def save_model_v2(model, path):
+    """The package's save_model as it was in format version 2: one indented
+    JSON document, each array as {"shape": [...], "f8le": "<base64>"}."""
+    def encode(a):
+        a = np.ascontiguousarray(a, dtype="<f8")
+        return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
+
+    doc = {
+        "format_version": 2,
+        "method": model.method,
+        "network": io._spec_to_dict(model.mcd.spec),
+        "weights": encode(model.mcd.weights),
+        "dropout_rates": list(model.mcd.rates),
+        "metadata": model.metadata,
+    }
+    if isinstance(model.posterior, bayes.ViPosterior):
+        doc["vi"] = {"mu": encode(model.posterior.mu), "rho": encode(model.posterior.rho)}
+    elif isinstance(model.posterior, bayes.HmcPosterior):
+        doc["hmc"] = {"samples": encode(model.posterior.samples)}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")

@@ -525,6 +525,6 @@ def test_sample_weights_mcd_masks():
     masks = bayes.sample_weights(post, 3, np.random.default_rng(1))
     assert len(masks) == 3
     for m in masks:
-        assert set(m) == set(nn.dropout_layout(spec))
+        assert set(m) == set(spec.plan.dropout)
         for v in m.values():
             assert set(np.unique(v)).issubset({0.0, 1.0})

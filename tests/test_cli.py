@@ -1,10 +1,11 @@
-import base64
 import csv
 import gc
 import json
+import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from safesteer import bayes, cli, io, nn, sim
 from safesteer.cli import main
 from safesteer.datasets import ImageDataset
+from oracles import save_model_v2
 
 
 def run_cli(*args):
@@ -123,6 +125,16 @@ def test_model_save_load_save_byte_identical(tmp_path, mcd_model):
     assert model.mcd.weights.dtype == np.float64
 
 
+def read_model_file(path):
+    """A model file's JSON header and its raw payload bytes."""
+    header, payload = read_bytes(path).split(b"\n", 1)
+    return json.loads(header), payload
+
+
+def write_model_file(path, header, payload):
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + payload)
+
+
 @pytest.mark.parametrize("method", ["mcd", "vi", "hmc"])
 def test_save_load_save_keeps_every_array_and_byte(tmp_path, mcd_model, method):
     mcd = io.load_model(mcd_model).mcd
@@ -140,21 +152,55 @@ def test_save_load_save_keeps_every_array_and_byte(tmp_path, mcd_model, method):
     assert loaded.mcd.weights.tobytes() == mcd.weights.tobytes()
     for got, want in zip(arrays(loaded.posterior), arrays(posterior), strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    if method == "hmc":
-        assert not loaded.posterior.samples.flags.writeable
+    for got in [loaded.mcd.weights, *arrays(loaded.posterior)]:
+        assert not got.flags.writeable
     io.save_model(loaded, second)
     assert read_bytes(first) == read_bytes(second)
-    doc = json.loads(read_bytes(first))
-    assert doc["format_version"] == io.MODEL_FORMAT_VERSION == 2
-    assert doc["weights"]["shape"] == [nn.param_count(mcd.spec)]
+    header, payload = read_model_file(first)
+    assert header["format_version"] == io.MODEL_FORMAT_VERSION == 3
+    names = {"mcd": [], "vi": ["vi.mu", "vi.rho"], "hmc": ["hmc.samples"]}[method]
+    want = [mcd.weights, *(arrays(posterior) if names else [])]
+    assert header["arrays"] == [{"name": name, "shape": list(a.shape)}
+                                for name, a in zip(["weights", *names], want, strict=True)]
+    assert payload == b"".join(a.astype("<f8").tobytes() for a in want)
+
+
+def test_loading_an_hmc_model_peaks_near_its_array_bytes(tmp_path, mcd_model):
+    mcd = io.load_model(mcd_model).mcd
+    head = nn.head_spec(mcd.spec)
+    samples = np.random.default_rng(6).normal(0, 1, (300, nn.param_count(head)))
+    path = tmp_path / "hmc.json"
+    io.save_model(io.TrainedModel("hmc", mcd, bayes.HmcPosterior(head, samples), {}), path)
+    array_bytes = mcd.weights.nbytes + samples.nbytes
+    tracemalloc.start()
+    try:
+        model = io.load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.posterior.samples.tobytes() == samples.tobytes()
+    assert peak < 1.25 * array_bytes  # format version 2 peaked near 3.5x
+
+
+def test_a_loaded_model_keeps_its_values_when_the_file_is_overwritten(tmp_path, mcd_model):
+    path = tmp_path / "hmc.json"
+    write_model_file(path, *hmc_model_doc(mcd_model))
+    model = io.load_model(path)
+    weights, samples = model.mcd.weights.tobytes(), model.posterior.samples.tobytes()
+    payload_bytes = len(weights) + len(samples)
+    with open(path, "r+b") as fh:  # in place, which a memory-mapped model would see
+        fh.seek(-payload_bytes, 2)
+        fh.write(bytes(payload_bytes))
+    assert model.mcd.weights.tobytes() == weights
+    assert model.posterior.samples.tobytes() == samples
 
 
 def test_load_model_rejects_dropout_rates_that_disagree(tmp_path, mcd_model):
-    doc = json.loads(read_bytes(mcd_model))
-    assert doc["dropout_rates"] == [0.1, 0.08, 0.08]
-    doc["dropout_rates"] = [0.5, 0.08, 0.08]
+    header, payload = read_model_file(mcd_model)
+    assert header["dropout_rates"] == [0.1, 0.08, 0.08]
+    header["dropout_rates"] = [0.5, 0.08, 0.08]
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
+    write_model_file(tampered, header, payload)
     with pytest.raises(ValueError) as err:
         io.load_model(tampered)
     msg = str(err.value)
@@ -164,51 +210,47 @@ def test_load_model_rejects_dropout_rates_that_disagree(tmp_path, mcd_model):
 
 @pytest.mark.parametrize("key", ["weights", "network", "vi", "hmc"])
 def test_load_model_names_file_and_missing_key(tmp_path, mcd_model, key):
-    doc = json.loads(read_bytes(mcd_model))
-    doc.pop(key, None)
-    if key in ("vi", "hmc"):
-        doc["method"] = key
+    header, payload = read_model_file(mcd_model)
+    if key == "network":
+        del header["network"]
+    elif key == "weights":
+        header["arrays"], payload = [], b""
+    else:  # an MCD file's arrays under a method that needs more
+        header["method"] = key
+    missing = {"weights": "weights", "network": "network", "vi": "vi.mu",
+               "hmc": "hmc.samples"}[key]
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
+    write_model_file(tampered, header, payload)
     with pytest.raises(ValueError) as err:
         io.load_model(tampered)
-    assert str(tampered) in str(err.value) and repr(key) in str(err.value)
+    assert str(tampered) in str(err.value) and repr(missing) in str(err.value)
 
 
 def test_load_model_names_file_of_non_finite_weights(tmp_path, mcd_model):
-    doc = json.loads(read_bytes(mcd_model))
-    weights = decode(doc["weights"])
+    header, payload = read_model_file(mcd_model)
+    weights = np.frombuffer(payload, dtype="<f8").copy()
     weights[3] = float("nan")
-    doc["weights"] = encode(weights)
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(doc))
+    write_model_file(tampered, header, weights.tobytes())
     with pytest.raises(ValueError, match="finite") as err:
         io.load_model(tampered)
     assert str(tampered) in str(err.value)
 
 
-def decode(obj):
-    """A model file's encoded array, as a writable copy."""
-    return np.frombuffer(base64.b64decode(obj["f8le"]), dtype="<f8").reshape(obj["shape"]).copy()
-
-
-def encode(a):
-    return {"shape": list(a.shape), "f8le": base64.b64encode(a.astype("<f8").tobytes()).decode()}
-
-
 def hmc_model_doc(mcd_model):
-    """The MCD model file turned into an HMC one with two head samples."""
-    doc = json.loads(read_bytes(mcd_model))
-    spec = io._spec_from_dict(doc["network"])
-    head_w = decode(doc["weights"])[nn.head_slice(spec)]
-    doc["method"] = "hmc"
-    doc["hmc"] = {"samples": encode(np.stack([head_w, head_w]))}
-    return doc
+    """The MCD model file's header and payload turned into an HMC model's,
+    with two head samples."""
+    header, payload = read_model_file(mcd_model)
+    spec = io._spec_from_dict(header["network"])
+    head_w = np.frombuffer(payload, dtype="<f8")[nn.head_slice(spec)]
+    header["method"] = "hmc"
+    header["arrays"].append({"name": "hmc.samples", "shape": [2, head_w.size]})
+    return header, payload + np.stack([head_w, head_w]).tobytes()
 
 
 def test_hmc_model_doc_loads_as_two_samples(tmp_path, mcd_model):
     path = tmp_path / "hmc.json"
-    path.write_text(json.dumps(hmc_model_doc(mcd_model)))
+    write_model_file(path, *hmc_model_doc(mcd_model))
     model = io.load_model(path)
     head_w = bayes.head_weights(model.mcd)
     assert model.posterior.samples.tobytes() == np.stack([head_w, head_w]).tobytes()
@@ -219,38 +261,44 @@ EVAL_ARGS = ("--scenario", "straight_obstacle", "--theta", "0.45", "--gamma", "0
 
 
 @pytest.mark.parametrize("fault", ["missing-hmc-key", "short-sample", "hmc-not-an-object",
-                                   "not-a-json-object", "truncated-json", "non-base64-character",
-                                   "negative-shape", "non-integer-shape", "format-version-1"])
+                                   "not-a-json-object", "truncated-json", "trailing-bytes",
+                                   "negative-shape", "non-integer-shape", "format-version-1",
+                                   "format-version-2"])
 def test_eval_safety_exits_2_on_a_malformed_model_file(tmp_path, mcd_model, fault, capsys):
-    doc = hmc_model_doc(mcd_model)
-    samples = doc["hmc"]["samples"]
+    header, payload = hmc_model_doc(mcd_model)
+    samples = header["arrays"][1]
+    bad = tmp_path / "bad.json"
     if fault == "missing-hmc-key":
-        del doc["hmc"]
-    elif fault == "short-sample":  # the data is one value short of its shape
-        samples["f8le"] = encode(decode(samples).ravel()[:-1])["f8le"]
+        header["arrays"].pop()
+        payload = payload[:-8 * math.prod(samples["shape"])]
+    elif fault == "short-sample":  # the payload is one value short of the shapes
+        payload = payload[:-8]
     elif fault == "hmc-not-an-object":
-        doc["hmc"] = [samples]
+        header["arrays"][1] = [samples]
     elif fault == "not-a-json-object":
-        doc = [doc]
-    elif fault == "non-base64-character":
-        samples["f8le"] = samples["f8le"][:40] + "!" + samples["f8le"][41:]
+        header = [header]
+    elif fault == "trailing-bytes":  # one value past the shapes
+        payload += payload[-8:]
     elif fault == "negative-shape":
         samples["shape"] = [-2, samples["shape"][1]]
     elif fault == "non-integer-shape":
         samples["shape"] = [2.0, samples["shape"][1]]
     elif fault == "format-version-1":
-        doc["format_version"] = 1
-    text = json.dumps(doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(text[:100] if fault == "truncated-json" else text)
+        header["format_version"] = 1
+    write_model_file(bad, header, payload)
+    if fault == "truncated-json":
+        bad.write_bytes(read_bytes(bad)[:100])
+    elif fault == "format-version-2":  # a whole file as that version wrote it
+        save_model_v2(io.load_model(bad), bad)
     report = tmp_path / "report.json"
     assert run_cli("eval-safety", "--model", str(bad), *EVAL_ARGS, "--report", str(report),
                    "--log", str(tmp_path / "log.csv")) == 2
     err = capsys.readouterr().err
     assert str(bad) in err
     assert not report.exists()
-    if fault == "format-version-1":
-        assert "unsupported format_version 1" in err and "re-run `train`" in err
+    if fault.startswith("format-version-"):
+        assert (f"unsupported format_version {fault[-1]}; "
+                "re-run `train` to write a version 3 file") in err
 
 
 def test_a_runtime_value_error_still_exits_1(tmp_path, mcd_model, monkeypatch):
@@ -314,6 +362,28 @@ def test_train_vi_and_hmc_round_trip(dataset_dir, mcd_model, tmp_path):
     resaved = tmp_path / "hmc2.json"
     io.save_model(hmc, resaved)
     assert read_bytes(hmc_path) == read_bytes(resaved)
+
+
+@pytest.mark.parametrize("case", ["mcd-model", "other-head"])
+def test_train_hmc_exits_2_on_a_vi_model_it_cannot_use(dataset_dir, mcd_model, tmp_path,
+                                                       case, capsys):
+    if case == "mcd-model":
+        vi_path, reason = mcd_model, "needs a vi model, not mcd"
+    else:  # a VI head of 10 classes for the 20-class MCD model
+        spec = nn.default_network_spec(10)
+        mcd = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
+        head = nn.head_spec(spec)
+        p = nn.param_count(head)
+        vi_path, reason = tmp_path / "vi10.json", f"VI mean has {p} parameters"
+        io.save_model(io.TrainedModel("vi", mcd, bayes.ViPosterior(
+            head, np.zeros(p), np.full(p, -3.0)), {}), vi_path)
+    out = tmp_path / "hmc.json"
+    assert run_cli("train", "--method", "hmc", "--dataset", str(dataset_dir),
+                   "--mcd-model", str(mcd_model), "--vi-model", str(vi_path),
+                   "--out", str(out), "--hmc-burn-in", "1", "--hmc-samples", "2") == 2
+    err = capsys.readouterr().err
+    assert str(vi_path) in err and reason in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +499,43 @@ def test_config_rejects_bad_thresholds(tmp_path):
     cfg.write_text(json.dumps({"delta1": 0.5, "delta2": 0.6}))
     assert run_cli("--config", str(cfg), "plan-samples", "--theta", "0.1",
                    "--gamma", "0.05") == 2
+
+
+# Every count once from a --config file, and each one that has a flag once
+# from the flag: (subcommand, flag args, config).
+COUNT_CASES = (
+    [("eval-safety", [], {name: 0}) for name in cli.POSITIVE_COUNTS]
+    + [("eval-safety", [], {name: -1}) for name in cli.NON_NEGATIVE_COUNTS]
+    + [("eval-safety", [], {"n_samples": 2.5})]
+    + [("collect", [flag, "0"], None) for flag in ("--episodes", "--frame-stride")]
+    + [("train", [flag, "0"], None) for flag in ("--epochs", "--batch-size",
+                                                 "--vi-iterations", "--hmc-samples",
+                                                 "--hmc-thin")]
+    + [("train", ["--hmc-burn-in", "-1"], None), ("eval-safety", ["--jobs", "0"], None),
+       ("eval-safety", ["--log-episodes", "-1"], None)])
+
+
+@pytest.mark.parametrize("command,flags,config", COUNT_CASES, ids=[
+    "config-" + ",".join(f"{k}={v}" for k, v in config.items()) if config else "=".join(flags)
+    for _, flags, config in COUNT_CASES])
+def test_a_count_below_its_least_value_is_a_configuration_error(
+        command, flags, config, tmp_path, dataset_dir, mcd_model, capsys):
+    out = tmp_path / "out"
+    args = {
+        "collect": ["collect", "--out", str(out)],
+        "train": ["train", "--method", "mcd", "--dataset", str(dataset_dir), "--out", str(out)],
+        "eval-safety": ["eval-safety", "--model", str(mcd_model), *EVAL_ARGS,
+                        "--report", str(out), "--log", str(tmp_path / "log.csv")],
+    }[command] + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg), *args]
+    name = next(iter(config)) if config else flags[0][2:].replace("-", "_")
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and name in err
+    assert not out.exists()
 
 
 def test_module_entry_point():

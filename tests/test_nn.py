@@ -396,7 +396,7 @@ def test_mask_deterministic_given_seed():
 
 def test_default_spec_shapes():
     spec = nn.default_network_spec(20)
-    shapes = nn.layer_shapes(spec)
+    shapes = spec.plan.out_shapes
     assert shapes[-1] == (20,)
     assert nn.head_spec(spec).input_shape == (64,)
     assert nn.param_count(nn.head_spec(spec)) == 5616

@@ -5,7 +5,7 @@ import pytest
 
 from safesteer import bayes, nn, uncertainty
 from safesteer.uncertainty import (Binning, Decision, PredictiveDistribution,
-                                   bin_center, classify_warning, decide,
+                                   WarningThresholds, bin_center, decide,
                                    decision_confidence, mutual_information,
                                    predictive, steering_to_class)
 from oracles import (decision_confidence_reference, entropy_reference,
@@ -237,35 +237,37 @@ def test_mi_bounds_and_jensen():
 
 def test_warning_published_thresholds():
     # published constants: delta1 = 0.7, delta2 = 0.6, MI threshold 0.45
-    assert classify_warning(0.55, 0.0, 0.7, 0.6, 0.45) == "W2"
-    assert classify_warning(0.65, 0.1, 0.7, 0.6, 0.45) == "W1"
-    assert classify_warning(0.9, 0.5, 0.7, 0.6, 0.45) == "W0"
-    assert classify_warning(0.9, 0.1, 0.7, 0.6, 0.45) is None
+    published = WarningThresholds(0.7, 0.6, 0.45)
+    assert published.classify(0.55, 0.0) == "W2"
+    assert published.classify(0.65, 0.1) == "W1"
+    assert published.classify(0.9, 0.5) == "W0"
+    assert published.classify(0.9, 0.1) is None
 
 
 def test_warning_default_threshold_is_bits_converted():
     assert uncertainty.DEFAULT_MI_THRESHOLD == pytest.approx(0.45 * math.log(2))
     # the published example vectors hold under the deployed default too
-    assert classify_warning(0.9, 0.5) == "W0"
-    assert classify_warning(0.9, 0.1) is None
+    assert WarningThresholds().classify(0.9, 0.5) == "W0"
+    assert WarningThresholds().classify(0.9, 0.1) is None
 
 
 def test_warning_rejects_bad_thresholds():
     with pytest.raises(ValueError):
-        classify_warning(0.5, 0.0, delta1=0.6, delta2=0.6)
+        WarningThresholds(delta1=0.6, delta2=0.6)
     with pytest.raises(ValueError):
         uncertainty.WarningThresholds(delta1=0.5, delta2=0.7)
 
 
 def test_warning_monotone():
     sev = {None: 0, "W0": 1, "W1": 2, "W2": 3}
+    classify = WarningThresholds().classify
     etas = np.linspace(0, 1, 21)
     mis = np.linspace(0, 1, 11)
     for mi in mis:
-        levels = [sev[classify_warning(e, mi)] for e in etas]
+        levels = [sev[classify(e, mi)] for e in etas]
         assert all(a >= b for a, b in zip(levels, levels[1:]))  # lower eta2, never milder
     for eta in etas:
-        levels = [sev[classify_warning(eta, m)] for m in mis]
+        levels = [sev[classify(eta, m)] for m in mis]
         assert all(b >= a for a, b in zip(levels, levels[1:]))  # higher MI, never milder
 
 
