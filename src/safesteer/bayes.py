@@ -328,7 +328,7 @@ def hmc_chain(u_fn, dim: int, cfg: HmcConfig, rng: np.random.Generator,
     Returns the retained post-burn-in thinned samples as a (cfg.samples, dim)
     array, one per row, and the acceptance rate."""
     q = np.zeros(dim) if init is None else np.asarray(init, dtype=np.float64).copy()
-    u, gu = u_fn(q)
+    u = u_fn(q)[0]
     kept = np.empty((cfg.samples, dim))
     accepted = 0
     total = cfg.burn_in + cfg.samples * cfg.thin
@@ -337,10 +337,10 @@ def hmc_chain(u_fn, dim: int, cfg: HmcConfig, rng: np.random.Generator,
         h0 = u + 0.5 * float(p @ p)
         q2, p2 = leapfrog(q, p, cfg.step_size, cfg.leapfrog_steps,
                           lambda x: u_fn(x)[1])
-        u2, gu2 = u_fn(q2)
+        u2 = u_fn(q2)[0]
         h1 = u2 + 0.5 * float(p2 @ p2)
         if rng.random() < math.exp(min(0.0, h0 - h1)):
-            q, u, gu = q2, u2, gu2
+            q, u = q2, u2
             accepted += 1
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
             kept[(it - cfg.burn_in) // cfg.thin] = q

@@ -126,7 +126,17 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.method in ("vi", "hmc") and args.mcd_model is None:
         print(f"train --method {args.method} requires --mcd-model", file=sys.stderr)
         return 2
+    for flag, value, methods in (("--mcd-model", args.mcd_model, ("vi", "hmc")),
+                                 ("--vi-model", args.vi_model, ("hmc",))):
+        if value is not None and args.method not in methods:
+            print(f"train --method {args.method} does not use {flag}", file=sys.stderr)
+            return 2
     ds = io.read_dataset(args.dataset)
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= cfg.num_classes))
+    if bad.size:
+        print(f"{args.dataset}: labels.csv line {bad[0] + 2} has class {ds.labels[bad[0]]}, "
+              f"outside [0, {cfg.num_classes})", file=sys.stderr)
+        return 2
     spec = nn.default_network_spec(cfg.num_classes)
     dataset_hash = io.dataset_hash(args.dataset)
     rng = np.random.default_rng(cfg.seed)

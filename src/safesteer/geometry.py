@@ -40,21 +40,6 @@ class Segment:
     def heading_at(self, s: float) -> float:
         return math.atan2(self.y1 - self.y0, self.x1 - self.x0)
 
-    def project(self, px: np.ndarray, py: np.ndarray):
-        """Vectorized projection. Returns (dist, s, lateral); lateral > 0 is
-        left of the travel direction."""
-        dx, dy = self.x1 - self.x0, self.y1 - self.y0
-        length = self.length
-        ux, uy = dx / length, dy / length
-        t = (px - self.x0) * ux + (py - self.y0) * uy
-        s = np.clip(t, 0.0, length)
-        fx = self.x0 + s * ux
-        fy = self.y0 + s * uy
-        rx, ry = px - fx, py - fy
-        dist = np.hypot(rx, ry)
-        lateral = ux * ry - uy * rx
-        return dist, s, lateral
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -63,6 +48,10 @@ class Arc:
     radius: float
     phi0: float    # angle from center to the start point
     sweep: float   # signed; > 0 turns left (counterclockwise)
+
+    def __post_init__(self):
+        if not (self.radius > 0 and 0 < abs(self.sweep) < TWO_PI):
+            raise ValueError("arc needs positive radius and 0 < |sweep| < 2*pi")
 
     @property
     def length(self) -> float:
@@ -80,29 +69,6 @@ class Arc:
         # tangent of ccw travel is phi + pi/2; cw travel is phi - pi/2
         return wrap_angle(phi + math.copysign(math.pi / 2.0, self.sweep))
 
-    def project(self, px: np.ndarray, py: np.ndarray):
-        vx, vy = px - self.cx, py - self.cy
-        phi = np.arctan2(vy, vx)
-        sign = 1.0 if self.sweep > 0 else -1.0
-        # angular progress from the start, measured along the travel direction
-        dphi = np.mod(sign * (phi - self.phi0), TWO_PI)
-        total = abs(self.sweep)
-        inside = dphi <= total
-        # outside the sweep: clamp to whichever endpoint is angularly closer
-        to_end = dphi - total
-        to_start = TWO_PI - dphi
-        dphi = np.where(inside, dphi, np.where(to_end < to_start, total, 0.0))
-        s = dphi * self.radius
-        foot_phi = self.phi0 + sign * dphi
-        fx = self.cx + self.radius * np.cos(foot_phi)
-        fy = self.cy + self.radius * np.sin(foot_phi)
-        rx, ry = px - fx, py - fy
-        dist = np.hypot(rx, ry)
-        tx = -np.sin(foot_phi) * sign
-        ty = np.cos(foot_phi) * sign
-        lateral = tx * ry - ty * rx
-        return dist, s, lateral
-
 
 Piece = Segment | Arc
 
@@ -117,19 +83,20 @@ class Path:
         self.cumlen = np.cumsum([p.length for p in self.pieces])
         self.length = float(self.cumlen[-1])
 
-    def point_at(self, s: float) -> tuple[float, float]:
+    def _locate(self, s: float) -> tuple[Piece, float]:
+        """The piece holding arc length s (clamped to the path) and s
+        measured from that piece's start."""
         s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cumlen, s, side="left"))
-        i = min(i, len(self.pieces) - 1)
-        s0 = self.cumlen[i - 1] if i > 0 else 0.0
-        return self.pieces[i].point_at(s - s0)
+        i = min(int(np.searchsorted(self.cumlen, s, side="left")), len(self.pieces) - 1)
+        return self.pieces[i], s - (self.cumlen[i - 1] if i > 0 else 0.0)
+
+    def point_at(self, s: float) -> tuple[float, float]:
+        piece, s = self._locate(s)
+        return piece.point_at(s)
 
     def heading_at(self, s: float) -> float:
-        s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cumlen, s, side="left"))
-        i = min(i, len(self.pieces) - 1)
-        s0 = self.cumlen[i - 1] if i > 0 else 0.0
-        return self.pieces[i].heading_at(s - s0)
+        piece, s = self._locate(s)
+        return piece.heading_at(s)
 
     def distance_sq_many(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Squared unsigned distance to the path. Pieces loop in Python with
@@ -144,15 +111,17 @@ class Path:
                 s = np.clip(rx * ux + ry * uy, 0.0, piece.length)
                 dx, dy = rx - s * ux, ry - s * uy
                 d2 = dx * dx + dy * dy
-            elif abs(piece.sweep) <= math.pi:
+            else:
                 vx, vy = px - piece.cx, py - piece.cy
                 sign = 1.0 if piece.sweep > 0 else -1.0
                 p1 = piece.phi0 + piece.sweep
                 r0x, r0y = math.cos(piece.phi0), math.sin(piece.phi0)
                 r1x, r1y = math.cos(p1), math.sin(p1)
-                # between the endpoint radii, on the travel side of both
-                inside = (sign * (r0x * vy - r0y * vx) >= 0.0) & \
-                         (sign * (vx * r1y - vy * r1x) >= 0.0)
+                # within the sweep: past the start radius and before the end
+                # radius, both for a sweep of at most pi, either one beyond
+                a = sign * (r0x * vy - r0y * vx) >= 0.0
+                b = sign * (vx * r1y - vy * r1x) >= 0.0
+                inside = a & b if abs(piece.sweep) <= math.pi else a | b
                 q = vx * vx + vy * vy
                 radial = np.sqrt(q) - piece.radius
                 e0x = piece.cx + piece.radius * r0x
@@ -162,9 +131,6 @@ class Path:
                 d2_out = np.minimum((px - e0x) ** 2 + (py - e0y) ** 2,
                                     (px - e1x) ** 2 + (py - e1y) ** 2)
                 d2 = np.where(inside, radial * radial, d2_out)
-            else:
-                d = piece.project(px, py)[0]
-                d2 = d * d
             best = d2 if best is None else np.minimum(best, d2)
         return best
 
@@ -220,8 +186,6 @@ class PathBuilder:
         return self
 
     def arc(self, radius: float, sweep: float) -> "PathBuilder":
-        if radius <= 0 or sweep == 0:
-            raise ValueError("arc needs positive radius and nonzero sweep")
         # center sits on the left for a left turn, on the right otherwise
         side = 1.0 if sweep > 0 else -1.0
         cx = self._x - side * radius * math.sin(self._h)
@@ -233,10 +197,6 @@ class PathBuilder:
         self._x, self._y = end
         self._h = wrap_angle(self._h + sweep)
         return self
-
-    @property
-    def pose(self) -> tuple[float, float, float]:
-        return self._x, self._y, self._h
 
     def build(self) -> Path:
         return Path(self._pieces)
@@ -258,13 +218,6 @@ class Rect:
         local = np.array([[hl, hw], [hl, -hw], [-hl, -hw], [-hl, hw]])
         rot = np.array([[c, -s], [s, c]])
         return local @ rot.T + np.array([self.x, self.y])
-
-    def contains(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        dx, dy = px - self.x, py - self.y
-        lx = c * dx + s * dy
-        ly = -s * dx + c * dy
-        return (np.abs(lx) <= self.length / 2.0) & (np.abs(ly) <= self.width / 2.0)
 
 
 def rects_overlap(a: Rect, b: Rect) -> bool:

@@ -407,9 +407,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, n: int, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(np.zeros(n), np.zeros(n), 0, lr, beta1, beta2, eps)
+    def fresh(cls, n: int, lr: float = 1e-4) -> "AdamState":
+        return cls(np.zeros(n), np.zeros(n), 0, lr)
 
 
 def adam_step(state: AdamState, w: np.ndarray,
@@ -455,18 +454,7 @@ def default_network_spec(num_classes: int = 20) -> NetworkSpec:
     )
 
 
-def feature_boundary(spec: NetworkSpec) -> int:
-    """Index of the first head layer: the layer right after the relu that
-    follows the first fc layer."""
-    return spec.plan.feature_boundary
-
-
 def head_spec(spec: NetworkSpec) -> NetworkSpec:
     """The trailing classification head as a standalone network over the
     feature vector."""
     return spec.plan.head_spec
-
-
-def head_slice(spec: NetworkSpec) -> slice:
-    """Slice of the flat weight vector holding the head parameters."""
-    return spec.plan.head_slice

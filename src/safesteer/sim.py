@@ -16,6 +16,7 @@ from .uncertainty import ConfidenceReport, steering_to_class
 # Vehicle parameters (ordinary passenger-car figures)
 WHEELBASE = 2.7        # m
 DELTA_MAX = 0.5236     # rad, max road-wheel angle at steering = +/-1
+LOOKAHEAD = 6.0        # m, autopilot pure-pursuit lookahead along its route
 A_MAX = 4.0            # m/s^2 accel/brake limit
 CAR_LENGTH = 4.0       # m, footprint
 CAR_WIDTH = 1.8        # m
@@ -382,12 +383,11 @@ def is_safe(state: VehicleState, scenario: ScenarioConfig) -> bool:
     return not hits_obstacle(state, scenario)
 
 
-def autopilot_steering(state: VehicleState, scenario: ScenarioConfig,
-                       lookahead: float = 6.0) -> float:
+def autopilot_steering(state: VehicleState, scenario: ScenarioConfig) -> float:
     """Pure pursuit on the ground-truth autopilot route; clamped to [-1, 1]."""
     route = scenario.autopilot_route
     _, s_here, _ = route.project(state.x, state.y)
-    tx, ty = route.point_at(s_here + lookahead)
+    tx, ty = route.point_at(s_here + LOOKAHEAD)
     dx, dy = tx - state.x, ty - state.y
     c, h = math.cos(state.heading), math.sin(state.heading)
     fwd = c * dx + h * dy
@@ -402,10 +402,8 @@ def autopilot_steering(state: VehicleState, scenario: ScenarioConfig,
 class AutopilotController:
     """Scripted data-collection driver; reads the true state, not the camera."""
 
-    lookahead: float = 6.0
-
     def act(self, obs, state, scenario, rng):
-        return autopilot_steering(state, scenario, self.lookahead), None
+        return autopilot_steering(state, scenario), None
 
 
 # Warning tiers that brake and hand over once the operator is alerted: W0

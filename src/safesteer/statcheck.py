@@ -116,7 +116,7 @@ def estimate_probabilistic_safety(scenario: sim.ScenarioConfig, controller,
 
 
 def estimate_decision_confidence_offline(posterior: bayes.Posterior,
-                                         features_or_image: np.ndarray,
+                                         features: np.ndarray,
                                          spec: PrecisionSpec, seed,
                                          eps: float = 0.1,
                                          bins: uncertainty.Binning = uncertainty.DEFAULT_BINNING,
@@ -127,7 +127,7 @@ def estimate_decision_confidence_offline(posterior: bayes.Posterior,
     evaluate the epsilon-ball indicator."""
     n = chernoff_sample_size(spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pred = uncertainty.predictive(posterior, features_or_image, n, rng)
+    pred = uncertainty.predictive(posterior, features, n, rng)
     if decision is None:
         decision = uncertainty.decide(pred, bins)
     return uncertainty.decision_confidence(pred, decision, eps, bins), n

@@ -92,30 +92,24 @@ class ConfidenceReport:
     n_samples: int
 
 
-def predictive(post: bayes.Posterior, features_or_image: np.ndarray, n: int,
+def predictive(post: bayes.Posterior, features: np.ndarray, n: int,
                rng: np.random.Generator) -> PredictiveDistribution:
-    """Forward + softmax under n posterior weight samples, as one head pass
-    over n rows (MCD: n dropout masks on the fixed weights; VI/HMC: one
-    weight sample per row). MCD accepts a raw image or a precomputed
-    feature vector; VI/HMC take features."""
+    """Forward + softmax of one feature vector under n posterior weight
+    samples, as one head pass over n rows (MCD: n dropout masks on the fixed
+    weights; VI/HMC: one weight sample per row)."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    x = np.asarray(features_or_image)
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("predictive needs a feature vector")
+    rows = np.broadcast_to(x, (n, x.size))
     if isinstance(post, bayes.McdPosterior):
         head = post.spec.plan.head_spec
-        hw = post.weights[post.spec.plan.head_slice]
-        if x.ndim == 1:
-            feats = x.astype(np.float64)
-        else:
-            feats = bayes.extract_features(post, x)
         # one batched draw is the same mask distribution as n single draws
         masks = nn.sample_dropout_mask(head, rng, batch=n)
-        logits = nn.forward_batch(head, hw, np.broadcast_to(feats, (n, feats.size)), masks)
+        logits = nn.forward_batch(head, post.weights[post.spec.plan.head_slice], rows, masks)
     elif isinstance(post, (bayes.ViPosterior, bayes.HmcPosterior)):
-        if x.ndim != 1:
-            raise ValueError("VI/HMC predictive needs a feature vector")
-        draws = bayes.sample_weights(post, n, rng)
-        logits = nn.forward_batch(post.head, draws, np.broadcast_to(x, (n, x.size)))
+        logits = nn.forward_batch(post.head, bayes.sample_weights(post, n, rng), rows)
     else:
         raise TypeError(f"unknown posterior {type(post)!r}")
     return PredictiveDistribution.from_samples(nn.softmax(logits))

@@ -124,7 +124,7 @@ def test_extract_features_matches_naive_oracle():
     post = bayes.McdPosterior(spec, w)
     img = rng.integers(0, 256, (48, 64)).astype(np.uint8)
     feats = bayes.extract_features(post, img)
-    boundary = nn.feature_boundary(spec)
+    boundary = spec.plan.feature_boundary
     ext_spec = nn.NetworkSpec(spec.layers[:boundary], spec.input_shape, 64)
     n_ext = nn.param_count(ext_spec)
     want = naive_forward(ext_spec, w[:n_ext], img[..., None] / 255.0)

@@ -242,7 +242,7 @@ def hmc_model_doc(mcd_model):
     with two head samples."""
     header, payload = read_model_file(mcd_model)
     spec = io._spec_from_dict(header["network"])
-    head_w = np.frombuffer(payload, dtype="<f8")[nn.head_slice(spec)]
+    head_w = np.frombuffer(payload, dtype="<f8")[spec.plan.head_slice]
     header["method"] = "hmc"
     header["arrays"].append({"name": "hmc.samples", "shape": [2, head_w.size]})
     return header, payload + np.stack([head_w, head_w]).tobytes()
@@ -342,6 +342,32 @@ def test_train_vi_requires_mcd_model(dataset_dir, tmp_path):
     code = run_cli("train", "--method", "vi", "--dataset", str(dataset_dir),
                    "--out", str(tmp_path / "vi.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("method, flag", [("vi", "--vi-model"), ("mcd", "--vi-model"),
+                                          ("mcd", "--mcd-model")])
+def test_train_exits_2_on_a_model_flag_its_method_does_not_use(dataset_dir, mcd_model,
+                                                              tmp_path, method, flag, capsys):
+    out = tmp_path / "model.json"
+    extra = [] if flag == "--mcd-model" or method == "mcd" else ["--mcd-model", str(mcd_model)]
+    assert run_cli("train", "--method", method, "--dataset", str(dataset_dir),
+                   flag, str(mcd_model), *extra, "--out", str(out)) == 2
+    assert f"train --method {method} does not use {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", [-1, 25])
+def test_train_exits_2_on_a_label_outside_the_classes(tmp_path, label, capsys):
+    labels = np.array([3, 7, label, 0])
+    ds = ImageDataset(np.zeros((4, 48, 64), dtype=np.uint8), labels, "straight_obstacle", 1,
+                      np.zeros(4))
+    io.write_dataset(ds, tmp_path / "d")
+    out = tmp_path / "mcd.json"
+    assert run_cli("train", "--method", "mcd", "--dataset", str(tmp_path / "d"),
+                   "--out", str(out), "--epochs", "1") == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "d") in err and f"line 4 has class {label}" in err
+    assert not out.exists()
 
 
 def test_train_vi_and_hmc_round_trip(dataset_dir, mcd_model, tmp_path):

@@ -16,8 +16,8 @@ def test_wrap_angle():
 
 
 def test_segment_projection_signs():
-    seg = Segment(0, 0, 10, 0)
-    d, s, lat = seg.project(np.array([3.0, -2.0, 12.0]), np.array([2.0, 1.0, 0.0]))
+    path = Path([Segment(0, 0, 10, 0)])
+    d, s, lat = zip(*(path.project(x, y) for x, y in ((3.0, 2.0), (-2.0, 1.0), (12.0, 0.0))))
     assert np.allclose(d, [2.0, math.hypot(2, 1), 2.0])
     assert np.allclose(s, [3.0, 0.0, 10.0])
     assert lat[0] > 0  # left of travel is positive
@@ -34,14 +34,24 @@ def test_arc_point_heading_roundtrip():
 
 
 def test_arc_projection_interior_and_clamp():
-    arc = Arc(0, 0, 5.0, -math.pi / 2, math.pi / 2)
-    d, s, lat = arc.project(np.array([3.0 / math.sqrt(2)]), np.array([-3.0 / math.sqrt(2)]))
-    assert d[0] == pytest.approx(2.0)
-    assert s[0] == pytest.approx(5.0 * math.pi / 4)
-    assert lat[0] > 0  # inside the circle is left of ccw travel
+    path = Path([Arc(0, 0, 5.0, -math.pi / 2, math.pi / 2)])
+    d, s, lat = path.project(3.0 / math.sqrt(2), -3.0 / math.sqrt(2))
+    assert d == pytest.approx(2.0)
+    assert s == pytest.approx(5.0 * math.pi / 4)
+    assert lat > 0  # inside the circle is left of ccw travel
     # a point behind the start clamps to s = 0
-    d, s, _ = arc.project(np.array([-1.0]), np.array([-5.0]))
-    assert s[0] == 0.0
+    d, s, _ = path.project(-1.0, -5.0)
+    assert s == 0.0
+
+
+@pytest.mark.parametrize("radius, sweep", [(0.0, 1.0), (-2.0, 1.0), (5.0, 0.0),
+                                           (5.0, 2 * math.pi), (5.0, -2 * math.pi),
+                                           (5.0, 7.0)])
+def test_arc_rejects_bad_radius_or_sweep(radius, sweep):
+    with pytest.raises(ValueError, match="arc needs"):
+        Arc(0.0, 0.0, radius, 0.0, sweep)
+    with pytest.raises(ValueError, match="arc needs"):
+        PathBuilder(0, 0, 0).line(5).arc(radius, sweep)
 
 
 def test_path_builder_tangent_continuity():
@@ -81,12 +91,25 @@ def test_distance_many_matches_projection():
     assert np.abs(d_fast - d_ref).max() < 1e-10
 
 
+@pytest.mark.parametrize("sweep", [1.2 * math.pi, 1.5 * math.pi, 1.9 * math.pi,
+                                   -1.2 * math.pi, -1.5 * math.pi, -1.9 * math.pi])
+def test_distance_many_matches_projection_on_arcs_beyond_half_a_turn(sweep):
+    path = PathBuilder(0, 0, 0.4).line(6).arc(9, sweep).line(5).build()
+    rng = np.random.default_rng(2)
+    px = rng.uniform(-25, 25, 4000)
+    py = rng.uniform(-25, 25, 4000)
+    d_fast = np.sqrt(path.distance_sq_many(px, py))
+    d_ref, _, _ = project_path_many(path, px, py)
+    assert np.abs(d_fast - d_ref).max() < 1e-10
+
+
 def test_rect_corners_and_containment():
     r = Rect(1.0, 2.0, math.pi / 2, 4.0, 2.0)
     corners = r.corners()
     assert corners.shape == (4, 2)
-    assert r.contains(np.array([1.0]), np.array([2.0]))[0]
-    assert not r.contains(np.array([2.5]), np.array([2.0]))[0]  # width/2 = 1 along x now
+    # at heading pi/2 the length lies along y and the width (2) along x
+    assert np.allclose(np.sort(corners[:, 0]), [0.0, 0.0, 2.0, 2.0])
+    assert np.allclose(np.sort(corners[:, 1]), [0.0, 0.0, 4.0, 4.0])
 
 
 def test_rects_overlap_against_sampling_oracle():

@@ -438,7 +438,7 @@ def test_network_plan_is_read_without_hashing_the_spec(monkeypatch):
     for copy in copies:
         assert copy == spec
         assert nn.param_count(copy) == nn.param_count(spec)
-        assert nn.head_slice(copy) == nn.head_slice(spec)
+        assert copy.plan.head_slice == spec.plan.head_slice
     monkeypatch.undo()
     # the plan is not part of the spec's identity
     assert all(hash(copy) == hash(spec) for copy in copies)

@@ -125,6 +125,18 @@ def test_predictive_makes_one_head_call_per_decision(monkeypatch):
         assert calls == [32]
 
 
+@pytest.mark.parametrize("shape", [(48, 64), (1, 64)])
+@pytest.mark.parametrize("kind", ["mcd", "vi", "hmc"])
+def test_predictive_rejects_anything_but_a_feature_vector(kind, shape):
+    spec = nn.default_network_spec()
+    if kind == "mcd":
+        post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(1)))
+    else:
+        post = stacked_pass_posterior(kind, nn.head_spec(spec), 2)
+    with pytest.raises(ValueError, match="predictive needs a feature vector"):
+        predictive(post, np.zeros(shape), 4, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # decide
 
