@@ -16,8 +16,7 @@ from .sim import (AutopilotController, Disturbances, EpisodePath,
                   collect_dataset, is_safe, render, roundabout_scenario,
                   run_episode, scenario_by_name, step,
                   straight_obstacle_scenario)
-from .statcheck import (PrecisionSpec, SafetyEstimate, autonomy_rate,
-                        chernoff_sample_size,
+from .statcheck import (PrecisionSpec, SafetyEstimate, chernoff_sample_size,
                         estimate_decision_confidence_offline,
                         estimate_probabilistic_safety)
 from .uncertainty import (Binning, ConfidenceReport, Decision,

@@ -5,7 +5,7 @@ ELBO ascent, and Hamiltonian Monte Carlo with leapfrog proposals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,28 +15,17 @@ from . import nn
 
 @dataclass(frozen=True)
 class Prior:
-    """Zero-mean Gaussian prior; one scale per parameterized layer (a scalar
-    broadcasts to every layer)."""
+    """Zero-mean Gaussian prior with one scale for every parameter."""
 
     sigma: float = 1.0
-    per_layer: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        scales = self.per_layer if self.per_layer is not None else (self.sigma,)
-        if any(s <= 0 for s in scales):
-            raise ValueError("prior scales must be positive")
+        if not self.sigma > 0:  # a NaN fails too
+            raise ValueError(f"prior sigma must be positive, got {self.sigma!r}")
 
     def param_sigmas(self, spec: nn.NetworkSpec) -> np.ndarray:
         """Per-parameter scale vector for the given network."""
-        sl = [s for s in spec.plan.slices if s is not None]
-        if self.per_layer is not None and len(self.per_layer) != len(sl):
-            raise ValueError(f"{len(self.per_layer)} scales for {len(sl)} parameterized layers")
-        out = np.empty(spec.plan.param_count)
-        for i, (wsl, bsl) in enumerate(sl):
-            scale = self.per_layer[i] if self.per_layer is not None else self.sigma
-            out[wsl] = scale
-            out[bsl] = scale
-        return out
+        return np.full(spec.plan.param_count, self.sigma, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -292,8 +281,8 @@ def train_vi(ds: FeatureDataset, head: nn.NetworkSpec, prior: Prior,
 
 def potential_energy(w: np.ndarray, ds: FeatureDataset, head: nn.NetworkSpec,
                      prior: Prior) -> tuple[float, np.ndarray]:
-    """U = total cross-entropy + ||w||^2/(2 sigma^2) per layer (negative log
-    posterior up to a constant), with its gradient."""
+    """U = total cross-entropy + ||w||^2/(2 sigma^2) (negative log posterior
+    up to a constant), with its gradient."""
     prior_sigma = prior.param_sigmas(head)
     ll, dll = _class_loglik(ds, head)(w)
     u = -ll + float(np.sum(w ** 2 / (2.0 * prior_sigma ** 2)))
@@ -379,14 +368,15 @@ def effective_sample_size(x: np.ndarray) -> float:
 
 
 def sample_weights(post: Posterior, n: int,
-                   rng: np.random.Generator) -> np.ndarray | list[nn.DropoutMask]:
-    """Draw n head weight samples as an (n, param_count) array, one sample
-    per row (for MCD: a list of n dropout masks over the full network, to
-    be applied to the fixed weights)."""
+                   rng: np.random.Generator) -> np.ndarray | nn.DropoutMask:
+    """Draw n posterior samples of the head: for VI and HMC an
+    (n, param_count) array of weights, one sample per row; for MCD one
+    batched dropout mask over the head's dropout layers, (n, width) rows of
+    0/1 to apply to the fixed head weights."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     if isinstance(post, McdPosterior):
-        return [nn.sample_dropout_mask(post.spec, rng) for _ in range(n)]
+        return nn.sample_dropout_mask(post.spec.plan.head_spec, rng, batch=n)
     if isinstance(post, ViPosterior):
         sigma = np.exp(post.rho)
         zeta = rng.standard_normal((n, post.mu.size))

@@ -4,7 +4,7 @@ and sample-size planning.
 
 Exit codes: 0 success, 1 runtime failure (including a run whose episodes
 ended in "error" because the controller raised or the start pose was
-unsafe), 2 usage or validation error (including a malformed model file).
+unsafe), 2 usage or validation error (a malformed model file or dataset too).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .controllers import BnnController
 ALL_WEATHERS = ("clear", "cloudy", "wet", "rain")
 
 
-POSITIVE_COUNTS = ("n_samples", "episodes", "frame_stride", "epochs", "batch_size", "jobs",
-                   "vi_iterations", "hmc_leapfrog", "hmc_samples", "hmc_thin")
+POSITIVE_COUNTS = ("num_classes", "n_samples", "episodes", "frame_stride", "epochs",
+                   "batch_size", "jobs", "vi_iterations", "hmc_leapfrog", "hmc_samples", "hmc_thin")
 NON_NEGATIVE_COUNTS = ("log_episodes", "hmc_burn_in")
 
 
@@ -62,8 +62,11 @@ class RunConfig:
                 value = getattr(self, name)
                 if type(value) is not int or value < least:
                     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if self.delta2 >= self.delta1:
-            raise ValueError("delta2 must be below delta1")
+        uncertainty.Binning(self.num_classes)
+        uncertainty.WarningThresholds(self.delta1, self.delta2, self.mi_threshold)
+        sim.MonitorPolicy(self.slow_factor)
+        if not self.eps > 0:  # a NaN fails too
+            raise ValueError(f"eps must be positive, got {self.eps!r}")
         statcheck.PrecisionSpec(self.theta, self.gamma)
         for w in self.weathers:
             if w not in sim.WEATHER_PRESETS:
@@ -177,9 +180,9 @@ def _vi_mean(path, n_params: int) -> np.ndarray:
     head of n_params parameters."""
     model = io.load_model(path)
     if model.method != "vi":
-        raise io.ModelFileError(f"{path}: --vi-model needs a vi model, not {model.method}")
+        raise io.InputFileError(f"{path}: --vi-model needs a vi model, not {model.method}")
     if model.posterior.mu.size != n_params:
-        raise io.ModelFileError(f"{path}: the VI mean has {model.posterior.mu.size} "
+        raise io.InputFileError(f"{path}: the VI mean has {model.posterior.mu.size} "
                                 f"parameters, the --mcd-model head has {n_params}")
     return model.posterior.mu
 
@@ -327,12 +330,12 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in CONFIG_FIELDS}
     try:
         cfg = load_config(args.config, overrides)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError, OSError) as exc:  # TypeError: a value of the wrong type
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         return args.fn(args, cfg)
-    except io.ModelFileError as exc:
+    except io.InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FileNotFoundError) as exc:

@@ -30,31 +30,41 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
+class InputFileError(ValueError):
+    """A malformed input file: a model file with a bad header, a missing
+    key, a payload of the wrong size or a value that fails validation, or a
+    dataset's labels.csv or frame. The message names the file."""
+
+
 def read_pgm(path) -> np.ndarray:
+    """The 8-bit image of a binary PGM; raises InputFileError if malformed."""
     data = FsPath(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while data[pos:pos + 1] not in (b"\n", b""):
+    try:
+        if not data.startswith(b"P5"):
+            raise ValueError("not a binary PGM")
+        fields: list[bytes] = []
+        pos = 2
+        while len(fields) < 3:
+            while pos < len(data) and data[pos:pos + 1].isspace():
                 pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    w, h, maxval = (int(f) for f in fields)
-    if maxval != 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pos += 1  # the single whitespace after maxval
-    raw = data[pos:pos + w * h]
-    if len(raw) != w * h:
-        raise ValueError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+            if data[pos:pos + 1] == b"#":
+                while data[pos:pos + 1] not in (b"\n", b""):
+                    pos += 1
+                continue
+            start = pos
+            while pos < len(data) and not data[pos:pos + 1].isspace():
+                pos += 1
+            fields.append(data[start:pos])
+        w, h, maxval = (int(f) for f in fields)
+        if maxval != 255:
+            raise ValueError(f"unsupported maxval {maxval}")
+        pos += 1  # the single whitespace after maxval
+        raw = data[pos:pos + w * h]
+        if len(raw) != w * h:
+            raise ValueError("truncated pixel data")
+        return np.frombuffer(raw, dtype=np.uint8).reshape(h, w)
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -73,23 +83,30 @@ def write_dataset(ds: ImageDataset, directory) -> None:
 
 
 def read_dataset(directory) -> ImageDataset:
+    """Read a dataset directory; raises InputFileError naming the file when
+    labels.csv or a frame is malformed or missing, or a frame is not 64x48."""
     directory = FsPath(directory)
-    with open(directory / "labels.csv", newline="") as fh:
+    labels_path = directory / "labels.csv"
+    with open(labels_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
-        raise ValueError(f"{directory}: labels.csv lists no images")
-    images = []
-    labels = []
-    steerings = []
-    scenario = rows[0]["scenario"]
-    seed = int(rows[0]["seed"]) if rows[0]["seed"] else None
-    for row in rows:
-        img_path = directory / f"{int(row['index']):06d}.pgm"
+        raise InputFileError(f"{labels_path}: lists no images")
+    images, labels, steerings = [], [], []
+    for line, row in enumerate(rows, start=2):
+        try:
+            index = int(row["index"])
+            labels.append(int(row["class"]))
+            steerings.append(float(row["steering"] or "nan"))
+            if line == 2:
+                scenario, seed = row["scenario"], (int(row["seed"]) if row["seed"] else None)
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
+            raise InputFileError(f"{labels_path}: line {line}: {exc!r}") from None
+        img_path = directory / f"{index:06d}.pgm"
         if not img_path.exists():
-            raise FileNotFoundError(f"missing image for row {row['index']}")
+            raise InputFileError(f"{img_path}: missing (labels.csv line {line})")
         images.append(read_pgm(img_path))
-        labels.append(int(row["class"]))
-        steerings.append(float(row["steering"]) if row["steering"] else float("nan"))
+        if images[-1].shape != nn.IMAGE_SHAPE[:2]:
+            raise InputFileError(f"{img_path}: shape {images[-1].shape}, not {nn.IMAGE_SHAPE[:2]}")
     return ImageDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
                         scenario, seed, np.asarray(steerings))
 
@@ -156,12 +173,6 @@ def save_model(model: TrainedModel, path) -> None:
             fh.write(a.data)
 
 
-class ModelFileError(ValueError):
-    """A model file that cannot be read as a model: a bad header, a missing
-    key, a payload of the wrong size or a value that fails validation. The
-    message names the file."""
-
-
 def _read_header(fh) -> dict:
     """The JSON header line. Versions 1 and 2 were one indented JSON
     document, whose first line is "{"; such a file is parsed whole so that
@@ -198,7 +209,7 @@ def _array_shapes(header: dict, method: str) -> list[tuple[str, tuple[int, ...]]
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file; raises ModelFileError if it is malformed. The
+    """Read a model file; raises InputFileError if it is malformed. The
     payload is read into one read-only buffer that the arrays view, so
     overwriting the file later does not change the model."""
     try:
@@ -236,9 +247,9 @@ def load_model(path) -> TrainedModel:
         else:
             posterior = bayes.HmcPosterior(head, arrays["hmc.samples"])
     except KeyError as exc:
-        raise ModelFileError(f"{path}: missing key {exc.args[0]!r}") from None
+        raise InputFileError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
-        raise ModelFileError(f"{path}: {exc}") from None
+        raise InputFileError(f"{path}: {exc}") from None
     return TrainedModel(method, mcd, posterior, header.get("metadata", {}))
 
 

@@ -334,10 +334,14 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     """Softmax cross-entropy over a batch and its exact weight gradient.
 
     The loss here is the floor-free -log softmax(logits)[label] (computed
-    via logsumexp), summed or averaged over the batch.
+    via logsumexp), summed or averaged over the batch. A label outside
+    [0, num_classes) raises ValueError.
     """
     if w.ndim != 1:
         raise ValueError("nll_and_grad_batch takes one flat weight vector")
+    if labels.size and not (labels.min() >= 0 and labels.max() < spec.num_classes):
+        bad = labels[(labels < 0) | (labels >= spec.num_classes)][0]
+        raise ValueError(f"label {bad} out of range for {spec.num_classes} classes")
     batch = x.shape[0]
     _check_mask(spec, mask, batch)
     plan = spec.plan
@@ -390,10 +394,12 @@ def backward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, label: int,
     x = np.asarray(x, dtype=np.float64)
     if x.shape != tuple(spec.input_shape):
         raise ValueError(f"input shape {x.shape} != spec input {tuple(spec.input_shape)}")
-    if not 0 <= label < spec.num_classes:
-        raise ValueError(f"label {label} out of range")
     _, grad = nll_and_grad_batch(spec, w, x[None], np.asarray([label]), mask, mean=False)
     return grad
+
+
+# ADAM's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -402,9 +408,6 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, n: int, lr: float = 1e-4) -> "AdamState":
@@ -419,11 +422,11 @@ def adam_step(state: AdamState, w: np.ndarray,
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = m / (1.0 - state.beta1 ** t)
-    vhat = v / (1.0 - state.beta2 ** t)
-    w2 = w - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    w2 = w - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return w2, replace(state, m=m, v=v, step=t)
 
 

@@ -100,16 +100,16 @@ WEATHER_PRESETS: dict[str, WeatherModel] = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """The centerline defines the rendered road and the safe corridor. The
-    optional route is what the scripted autopilot tracks (e.g. the swerve
-    around an in-lane obstacle); it defaults to the centerline."""
+    """The centerline gives the start pose, the rendered road and the safe
+    corridor. The optional route is what the scripted autopilot tracks
+    (e.g. the swerve around an in-lane obstacle); it defaults to the
+    centerline."""
 
     kind: str
     centerline: Path
     corridor_half_width: float = 1.5
     obstacle: Obstacle | None = None
     route: Path | None = None
-    start: tuple[float, float, float] = (0.0, 0.0, 0.0)
     nominal_speed: float = 8.0
     horizon: int = 300
     dt: float = 0.05
@@ -472,7 +472,7 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     rng_init, rng_weather, rng_ctrl, rng_noise = map(np.random.default_rng, ss.spawn(4))
     weather = WEATHER_PRESETS[scenario.weather]
 
-    x0, y0, h0 = scenario.start
+    (x0, y0), h0 = scenario.centerline.point_at(0.0), scenario.centerline.heading_at(0.0)
     jitter = rng_init.normal(0.0, scenario.disturbances.lateral_jitter_std)
     state = VehicleState(x0 - jitter * math.sin(h0), y0 + jitter * math.cos(h0),
                          h0, scenario.nominal_speed)

@@ -132,9 +132,3 @@ def estimate_decision_confidence_offline(posterior: bayes.Posterior,
         decision = uncertainty.decide(pred, bins)
     return uncertainty.decision_confidence(pred, decision, eps, bins), n
 
-
-def autonomy_rate(paths: list[sim.EpisodePath]) -> float:
-    """Fraction of episodes that never handed control back."""
-    if not paths:
-        raise ValueError("empty path list")
-    return sum(1 for p in paths if p.outcome != "handover") / len(paths)

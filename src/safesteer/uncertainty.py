@@ -12,24 +12,26 @@ import numpy as np
 from . import bayes, nn
 
 
+# The steering range the bins cover: sim.step clamps commands to it.
+STEERING_LO, STEERING_HI = -1.0, 1.0
+
+
 @dataclass(frozen=True)
 class Binning:
-    """Uniform steering bins over [lo, hi]; decisions actuate bin centers."""
+    """Uniform bins over the steering range; decisions actuate bin centers."""
 
     num_classes: int = 20
-    lo: float = -1.0
-    hi: float = 1.0
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.hi <= self.lo:
-            raise ValueError("bad binning")
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be >= 1, got {self.num_classes!r}")
 
     @property
     def width(self) -> float:
-        return (self.hi - self.lo) / self.num_classes
+        return (STEERING_HI - STEERING_LO) / self.num_classes
 
     def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.num_classes) + 0.5) * self.width
+        return STEERING_LO + (np.arange(self.num_classes) + 0.5) * self.width
 
 
 DEFAULT_BINNING = Binning()
@@ -38,14 +40,14 @@ DEFAULT_BINNING = Binning()
 def bin_center(class_index: int, bins: Binning = DEFAULT_BINNING) -> float:
     if not 0 <= class_index < bins.num_classes:
         raise ValueError(f"class {class_index} out of range")
-    return bins.lo + (class_index + 0.5) * bins.width
+    return STEERING_LO + (class_index + 0.5) * bins.width
 
 
 def steering_to_class(angle: float, bins: Binning = DEFAULT_BINNING) -> int:
     """Bin an angle; out-of-range angles clamp, the top edge maps to the
     last bin."""
-    a = min(max(angle, bins.lo), bins.hi)
-    return min(int((a - bins.lo) / bins.width), bins.num_classes - 1)
+    a = min(max(angle, STEERING_LO), STEERING_HI)
+    return min(int((a - STEERING_LO) / bins.width), bins.num_classes - 1)
 
 
 @dataclass(frozen=True)
@@ -94,24 +96,19 @@ class ConfidenceReport:
 
 def predictive(post: bayes.Posterior, features: np.ndarray, n: int,
                rng: np.random.Generator) -> PredictiveDistribution:
-    """Forward + softmax of one feature vector under n posterior weight
-    samples, as one head pass over n rows (MCD: n dropout masks on the fixed
-    weights; VI/HMC: one weight sample per row)."""
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
+    """Forward + softmax of one feature vector under the n posterior samples
+    of `bayes.sample_weights`, as one head pass over n rows (MCD: n dropout
+    masks on the fixed head weights; VI/HMC: one weight sample per row)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("predictive needs a feature vector")
+    draw = bayes.sample_weights(post, n, rng)
     rows = np.broadcast_to(x, (n, x.size))
     if isinstance(post, bayes.McdPosterior):
-        head = post.spec.plan.head_spec
-        # one batched draw is the same mask distribution as n single draws
-        masks = nn.sample_dropout_mask(head, rng, batch=n)
-        logits = nn.forward_batch(head, post.weights[post.spec.plan.head_slice], rows, masks)
-    elif isinstance(post, (bayes.ViPosterior, bayes.HmcPosterior)):
-        logits = nn.forward_batch(post.head, bayes.sample_weights(post, n, rng), rows)
+        plan = post.spec.plan
+        logits = nn.forward_batch(plan.head_spec, post.weights[plan.head_slice], rows, draw)
     else:
-        raise TypeError(f"unknown posterior {type(post)!r}")
+        logits = nn.forward_batch(post.head, draw, rows)
     return PredictiveDistribution.from_samples(nn.softmax(logits))
 
 
@@ -129,7 +126,7 @@ def decision_confidence(pred: PredictiveDistribution, decision: Decision,
         raise ValueError("eps must be positive")
     votes = np.argmax(pred.per_sample_probs, axis=1)
     # each vote's bin center, as Binning.centers() computes it
-    centers = bins.lo + (votes + 0.5) * bins.width
+    centers = STEERING_LO + (votes + 0.5) * bins.width
     # small slack so a center distance of exactly eps survives float rounding
     inside = np.abs(centers - decision.steering) <= eps + 1e-12
     return int(np.count_nonzero(inside)) / inside.size
@@ -162,8 +159,10 @@ class WarningThresholds:
     mi_threshold: float = DEFAULT_MI_THRESHOLD
 
     def __post_init__(self):
-        if self.delta2 >= self.delta1:
-            raise ValueError("delta2 must be below delta1")
+        if not 0.0 <= self.delta2 < self.delta1 <= 1.0:  # a NaN fails too
+            raise ValueError("need 0 <= delta2 < delta1 <= 1")
+        if not self.mi_threshold >= 0.0:
+            raise ValueError("mi_threshold must be >= 0")
 
     def classify(self, eta2: float, mutual_info: float) -> str | None:
         """Tiered warning: W2 below delta2 confidence, W1 below delta1, W0

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from safesteer import bayes, cli, nn, sim
+from safesteer import bayes, cli, nn, sim, uncertainty
 from safesteer.datasets import FeatureDataset, ImageDataset, image_to_input, images_to_input
 from oracles import (central_diff, extract_features_batch_reference, leapfrog_harmonic,
                      max_rel_error, naive_forward, sample_weights_hmc_reference,
@@ -53,10 +53,10 @@ def test_prior_scales():
     sig = bayes.Prior(2.0).param_sigmas(head)
     assert sig.shape == (nn.param_count(head),)
     assert np.all(sig == 2.0)
-    per_layer = bayes.Prior(per_layer=(1.0, 3.0)).param_sigmas(head)
-    assert per_layer[0] == 1.0 and per_layer[-1] == 3.0
     with pytest.raises(ValueError):
         bayes.Prior(-1.0)
+    with pytest.raises(ValueError, match="nan"):
+        bayes.Prior(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +304,28 @@ def test_train_vi_classification_smoke_and_determinism():
                        head, PRIOR, cfg)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_the_trainers_reject_a_label_outside_the_classes(bad):
+    """-1 would otherwise train as the last class, and 3 fail as a bare
+    IndexError, deep inside the loss."""
+    head = relu_head()
+    ds = toy_feature_ds(5)
+    labels = ds.labels.copy()
+    labels[4] = bad
+    ds = FeatureDataset(ds.features, labels)
+    match = f"label {bad} out of range for 3 classes"
+    with pytest.raises(ValueError, match=match):
+        bayes.train_vi(ds, head, PRIOR, bayes.ViConfig(iterations=5))
+    with pytest.raises(ValueError, match=match):
+        bayes.train_hmc(ds, head, PRIOR, bayes.HmcConfig(burn_in=0, samples=2, thin=1),
+                        np.random.default_rng(0))
+    images = separable_image_ds(n=8)
+    spec = nn.default_network_spec(3)
+    with pytest.raises(ValueError, match=match):
+        bayes.train_mcd(ImageDataset(images.images, labels[:8]), spec, epochs=1,
+                        batch_size=16, rng=np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # potential energy and leapfrog
 
@@ -519,12 +541,26 @@ def test_sample_weights_hmc_equals_the_stacked_gather_and_leaves_the_same_rng_st
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_an_unknown_posterior_is_a_type_error_from_sample_weights():
+    with pytest.raises(TypeError, match="unknown posterior"):
+        bayes.sample_weights(object(), 4, np.random.default_rng(0))
+    with pytest.raises(TypeError, match="unknown posterior"):
+        uncertainty.predictive(object(), np.zeros(4), 4, np.random.default_rng(0))
+
+
 def test_sample_weights_mcd_masks():
     spec = nn.default_network_spec(2)
     post = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
+    head = spec.plan.head_spec
     masks = bayes.sample_weights(post, 3, np.random.default_rng(1))
-    assert len(masks) == 3
-    for m in masks:
-        assert set(m) == set(spec.plan.dropout)
-        for v in m.values():
-            assert set(np.unique(v)).issubset({0.0, 1.0})
+    # one mask dict over the head's dropout layers, one 0/1 row per sample
+    assert set(masks) == set(head.plan.dropout)
+    for i, v in masks.items():
+        assert v.shape == (3, head.plan.dropout[i])
+        assert set(np.unique(v)).issubset({0.0, 1.0})
+    # predictive draws exactly these masks and nothing else
+    feats = np.random.default_rng(2).normal(0, 1, nn.FEATURE_DIM)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    uncertainty.predictive(post, feats, 32, rng)
+    bayes.sample_weights(post, 32, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

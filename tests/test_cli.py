@@ -370,6 +370,43 @@ def test_train_exits_2_on_a_label_outside_the_classes(tmp_path, label, capsys):
     assert not out.exists()
 
 
+DATASET_FAULTS = ("truncated-pgm", "missing-pgm", "non-integer-index", "missing-column",
+                  "one-small-frame", "all-frames-40x60")
+
+
+@pytest.mark.parametrize("fault", DATASET_FAULTS)
+def test_train_exits_2_and_names_the_file_of_a_malformed_dataset(tmp_path, fault, capsys):
+    ds = ImageDataset(np.full((4, 48, 64), 100, dtype=np.uint8), np.array([3, 7, 1, 0]),
+                      "straight_obstacle", 1, np.zeros(4))
+    d = tmp_path / "d"
+    io.write_dataset(ds, d)
+    named = d / "000002.pgm"
+    if fault == "truncated-pgm":
+        named.write_bytes(named.read_bytes()[:-10])
+    elif fault == "missing-pgm":
+        named.unlink()
+    elif fault in ("non-integer-index", "missing-column"):
+        named = d / "labels.csv"
+        lines = named.read_text().splitlines(keepends=True)
+        if fault == "non-integer-index":
+            lines[3] = "x" + lines[3][1:]
+        else:
+            lines[0] = lines[0].replace("scenario", "place")
+        named.write_text("".join(lines))
+    elif fault == "one-small-frame":
+        io.write_pgm(named, np.zeros((10, 10), dtype=np.uint8))
+    else:
+        for i in range(4):
+            io.write_pgm(d / f"{i:06d}.pgm", np.zeros((40, 60), dtype=np.uint8))
+        named = d / "000000.pgm"
+    out = tmp_path / "mcd.json"
+    assert run_cli("train", "--method", "mcd", "--dataset", str(d), "--out", str(out),
+                   "--epochs", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert not out.exists()
+
+
 def test_train_vi_and_hmc_round_trip(dataset_dir, mcd_model, tmp_path):
     vi_path = tmp_path / "vi.json"
     assert run_cli("train", "--method", "vi", "--dataset", str(dataset_dir),
@@ -525,6 +562,29 @@ def test_config_rejects_bad_thresholds(tmp_path):
     cfg.write_text(json.dumps({"delta1": 0.5, "delta2": 0.6}))
     assert run_cli("--config", str(cfg), "plan-samples", "--theta", "0.1",
                    "--gamma", "0.05") == 2
+
+
+# Values that WarningThresholds, Binning or MonitorPolicy rejects, a
+# non-positive eps, or a string where a number belongs, each from a --config
+# file
+TYPE_RULE_CASES = ({"eps": 0}, {"eps": math.nan}, {"slow_factor": 2}, {"num_classes": 0},
+                   {"delta1": 1.5, "delta2": 1.2}, {"delta2": math.nan},
+                   {"mi_threshold": -1}, {"eps": "wide"}, {"delta1": "high"})
+
+
+@pytest.mark.parametrize("config", TYPE_RULE_CASES, ids=[
+    ",".join(f"{k}={v}" for k, v in c.items()) for c in TYPE_RULE_CASES])
+def test_a_value_its_type_rejects_exits_2_before_any_work(config, tmp_path, mcd_model,
+                                                          capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    report, log = tmp_path / "report.json", tmp_path / "log.csv"
+    assert run_cli("--config", str(cfg), "eval-safety", "--model", str(mcd_model),
+                   *EVAL_ARGS, "--report", str(report), "--log", str(log)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert captured.out == ""  # no cell ran
+    assert not report.exists() and not log.exists()
 
 
 # Every count once from a --config file, and each one that has a flag once

@@ -205,6 +205,19 @@ def test_stacked_weights_rejected_on_conv_spec_and_row_mismatch():
         nn.nll_and_grad_batch(head, np.zeros((3, p)), feats, np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("bad", [-1, 20, 25])
+def test_nll_and_grad_batch_rejects_a_label_outside_the_classes(bad):
+    """NumPy would read -1 as the last class, and 20 or more as an
+    IndexError; the first bad label is named."""
+    head = nn.head_spec(nn.default_network_spec(20))
+    w = nn.init_weights(head, np.random.default_rng(0))
+    feats = np.random.default_rng(1).normal(0, 1, (4,) + head.input_shape)
+    with pytest.raises(ValueError, match=f"label {bad} out of range for 20 classes"):
+        nn.nll_and_grad_batch(head, w, feats, np.array([3, bad, 0, -2 if bad > 0 else 30]))
+    with pytest.raises(ValueError, match=f"label {bad} out of range"):
+        nn.backward(head, w, feats[0], bad)
+
+
 # ---------------------------------------------------------------------------
 # softmax / cross entropy
 

@@ -531,6 +531,17 @@ def test_episode_unsafe_start_pose_is_an_error_not_a_violation():
     assert "error" in outcomes and outcomes - {"error"}
 
 
+def test_episode_starts_at_the_start_of_the_centerline():
+    centerline = PathBuilder(5.0, -2.0, 0.3).line(60.0).build()
+    scn = sim.ScenarioConfig("straight_obstacle", centerline, disturbances=QUIET)
+    path = sim.run_episode(scn, ConstantController(0.0), None, seed=0)
+    start = path.records[0].state
+    assert path.outcome == "completed"
+    assert (start.x, start.y) == (5.0, -2.0)
+    assert start.heading == centerline.heading_at(0.0) == pytest.approx(0.3)
+    assert start.speed == scn.nominal_speed
+
+
 def test_episode_deterministic_including_observations():
     scn = sim.straight_obstacle_scenario(weather="rain")
     a = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_observations=True)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from safesteer import bayes, nn, sim, statcheck
-from safesteer.statcheck import (PrecisionSpec, autonomy_rate,
-                                 chernoff_sample_size, estimate_bernoulli,
+from safesteer.statcheck import (PrecisionSpec, chernoff_sample_size, estimate_bernoulli,
                                  estimate_decision_confidence_offline,
                                  estimate_probabilistic_safety)
 from safesteer.uncertainty import Binning, ConfidenceReport
@@ -177,26 +176,3 @@ def test_offline_confidence_in_unit_interval():
             post, rng.normal(0, 1, 3), PrecisionSpec(0.2, 0.2), seed=seed,
             bins=Binning(4))
         assert 0.0 <= eta <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# autonomy
-
-def fake_path(outcome):
-    return sim.EpisodePath((), outcome, seed=0)
-
-
-def test_autonomy_rate_counting():
-    assert autonomy_rate([fake_path("completed")] * 5) == 1.0
-    assert autonomy_rate([fake_path("handover")] * 5) == 0.0
-    paths = [fake_path("handover")] * 3 + [fake_path("completed")] * 7
-    assert autonomy_rate(paths) == pytest.approx(0.7)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        rng.shuffle(paths)
-        assert autonomy_rate(paths) == pytest.approx(0.7)
-
-
-def test_autonomy_rate_rejects_empty():
-    with pytest.raises(ValueError):
-        autonomy_rate([])

@@ -24,7 +24,8 @@ TRACED = (
 )
 # called once per step of a monitored episode
 ONCE_PER_STEP = ("render", "apply_weather", "step", "act", "extract_features",
-                 "predictive", "decide", "confidence_report", "distance_sq_many")
+                 "sample_weights", "predictive", "decide", "confidence_report",
+                 "distance_sq_many")
 
 
 def _count_calls(monkeypatch) -> Counter:
@@ -61,14 +62,15 @@ def test_monitored_episode_calls_every_traced_layer_through_its_attribute(
     assert path.outcome != "error" and steps >= 2, (path.outcome, path.error)
 
     expected = {name for _, name in TRACED}
-    # MC dropout draws head masks, HMC draws stored samples
-    expected.discard("sample_weights" if kind == "mcd" else "sample_dropout_mask")
+    # every posterior draws in sample_weights; only MC dropout draws masks
+    if kind == "hmc":
+        expected.discard("sample_dropout_mask")
     assert set(calls) == expected, expected ^ set(calls)
     assert calls["run_episode"] == 1
     for name in ONCE_PER_STEP:
         assert calls[name] == steps, (name, calls[name], steps)
     assert calls["forward_batch"] == 2 * steps  # the extractor, then the head
-    assert calls["sample_dropout_mask" if kind == "mcd" else "sample_weights"] == steps
+    assert calls["sample_dropout_mask"] == (steps if kind == "mcd" else 0)
     # the start pose and every step are checked; a step that does not end
     # the episode also looks for the end of the road
     assert calls["is_safe"] == steps + 1
