@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Run one seeded collect -> train (mcd, vi, hmc) -> eval-safety -> drive
+# chain on both scenarios with the sources of the checkout SRC, writing every
+# artifact under OUT, and print "sha256  path" for each file, paths relative
+# to OUT. Run it on two checkouts (a parent commit and a change) and diff the
+# two outputs: a change that keeps seeded artifacts byte-identical prints the
+# same lines. Digests depend on the NumPy and BLAS build, so compare only
+# runs made on one machine.
+#
+# usage: scripts/seeded_artifacts.sh SRC OUT
+set -uo pipefail
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 2
+fi
+src=$(cd "$1" && pwd) || exit 2
+mkdir -p "$2" && out=$(cd "$2" && pwd) || exit 2
+
+run() {
+    PYTHONPATH="$src/src" OPENBLAS_NUM_THREADS=1 "${PYTHON:-python3}" -m safesteer "$@" \
+        > /dev/null || echo "exit $?: safesteer $*" >&2
+}
+
+for scenario in straight_obstacle roundabout_first_exit; do
+    d="$out/$scenario"
+    mkdir -p "$d"
+    run collect --scenario "$scenario" --episodes 2 --frame-stride 4 --seed 11 --out "$d/data"
+    run train --scenario "$scenario" --method mcd --dataset "$d/data" --epochs 2 --seed 1 \
+        --out "$d/mcd.json"
+    run train --scenario "$scenario" --method vi --dataset "$d/data" --mcd-model "$d/mcd.json" \
+        --vi-iterations 40 --seed 2 --out "$d/vi.json"
+    run train --scenario "$scenario" --method hmc --dataset "$d/data" --mcd-model "$d/mcd.json" \
+        --hmc-burn-in 5 --hmc-samples 8 --hmc-thin 1 --hmc-step-size 0.002 --seed 3 \
+        --out "$d/hmc.json"
+    for m in mcd vi hmc; do
+        run eval-safety --scenario "$scenario" --model "$d/$m.json" --theta 0.25 --gamma 0.2 \
+            --weathers clear,rain --with-monitor --jobs 2 --log-episodes 3 --seed 5 \
+            --report "$d/$m-report.json" --log "$d/$m-log.csv"
+        run drive --scenario "$scenario" --model "$d/$m.json" --weather rain --monitor --seed 7 \
+            --out "$d/$m-drive-rain-monitored.csv"
+        run drive --scenario "$scenario" --model "$d/$m.json" --weather clear --seed 7 \
+            --out "$d/$m-drive-clear.csv"
+    done
+done
+
+cd "$out" && find . -type f | LC_ALL=C sort | xargs sha256sum

@@ -20,8 +20,8 @@ class Prior:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:  # a NaN fails too
-            raise ValueError(f"prior sigma must be positive, got {self.sigma!r}")
+        if not 0.0 < self.sigma < math.inf:  # a NaN fails too
+            raise ValueError(f"prior sigma must be finite and positive, got {self.sigma!r}")
 
     def param_sigmas(self, spec: nn.NetworkSpec) -> np.ndarray:
         """Per-parameter scale vector for the given network."""
@@ -92,6 +92,8 @@ class ViConfig:
     def __post_init__(self):
         if self.iterations < 0 or self.mc_samples < 1:
             raise ValueError("counts must be positive")
+        if not 0.0 < self.lr < math.inf:  # a NaN fails too
+            raise ValueError(f"VI lr must be finite and positive, got {self.lr!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,8 @@ class HmcConfig:
     thin: int = 2
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.leapfrog_steps < 1:
-            raise ValueError("step size must be positive and leapfrog_steps >= 1")
+        if not 0.0 < self.step_size < math.inf or self.leapfrog_steps < 1:  # NaN fails too
+            raise ValueError("step size must be finite and positive, and leapfrog_steps >= 1")
         if self.burn_in < 0 or self.samples < 1 or self.thin < 1:
             raise ValueError("bad chain counts")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -22,15 +23,14 @@ from .controllers import BnnController
 ALL_WEATHERS = ("clear", "cloudy", "wet", "rain")
 
 
-POSITIVE_COUNTS = ("num_classes", "n_samples", "episodes", "frame_stride", "epochs",
-                   "batch_size", "jobs", "vi_iterations", "hmc_leapfrog", "hmc_samples", "hmc_thin")
+POSITIVE_COUNTS = ("n_samples", "episodes", "frame_stride", "epochs", "batch_size", "jobs",
+                   "vi_iterations", "hmc_leapfrog", "hmc_samples", "hmc_thin")
 NON_NEGATIVE_COUNTS = ("log_episodes", "hmc_burn_in")
 
 
 @dataclass
 class RunConfig:
     scenario: str = "straight_obstacle"
-    num_classes: int = 20
     eps: float = 0.1
     delta1: float = 0.7
     delta2: float = 0.6
@@ -62,15 +62,22 @@ class RunConfig:
                 value = getattr(self, name)
                 if type(value) is not int or value < least:
                     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        uncertainty.Binning(self.num_classes)
         uncertainty.WarningThresholds(self.delta1, self.delta2, self.mi_threshold)
         sim.MonitorPolicy(self.slow_factor)
         if not self.eps > 0:  # a NaN fails too
             raise ValueError(f"eps must be positive, got {self.eps!r}")
         statcheck.PrecisionSpec(self.theta, self.gamma)
+        if not 0.0 < self.lr < math.inf:  # a NaN fails too
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        bayes.ViConfig(self.vi_iterations, 1, self.vi_lr, self.seed)
+        bayes.HmcConfig(self.hmc_step_size, self.hmc_leapfrog, self.hmc_burn_in,
+                        self.hmc_samples, self.hmc_thin)
         for w in self.weathers:
             if w not in sim.WEATHER_PRESETS:
                 raise ValueError(f"unknown weather {w!r}")
+
+
+CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -79,8 +86,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(data) - known
+        unknown = set(data) - CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "weathers" in data:
@@ -111,10 +117,9 @@ def training_accuracy(mcd: bayes.McdPosterior, ds) -> float:
 
 def _controller(model: io.TrainedModel, cfg: RunConfig,
                 with_confidence: bool) -> BnnController:
-    bins = uncertainty.Binning(cfg.num_classes)
     thresholds = uncertainty.WarningThresholds(cfg.delta1, cfg.delta2, cfg.mi_threshold)
-    return BnnController(model.mcd, model.posterior, bins, cfg.eps,
-                         cfg.n_samples, thresholds, with_confidence)
+    return BnnController(model.mcd, model.posterior, cfg.eps, cfg.n_samples, thresholds,
+                         with_confidence)
 
 
 def cmd_collect(args, cfg: RunConfig) -> int:
@@ -130,17 +135,24 @@ def cmd_train(args, cfg: RunConfig) -> int:
         print(f"train --method {args.method} requires --mcd-model", file=sys.stderr)
         return 2
     for flag, value, methods in (("--mcd-model", args.mcd_model, ("vi", "hmc")),
-                                 ("--vi-model", args.vi_model, ("hmc",))):
+                                 ("--vi-model", args.vi_model, ("hmc",)),
+                                 ("--prior-sigma", args.prior_sigma, ("vi", "hmc"))):
         if value is not None and args.method not in methods:
             print(f"train --method {args.method} does not use {flag}", file=sys.stderr)
             return 2
+    if args.method != "mcd":
+        try:
+            prior = bayes.Prior() if args.prior_sigma is None else bayes.Prior(args.prior_sigma)
+        except ValueError as exc:
+            print(f"train --prior-sigma: {exc}", file=sys.stderr)
+            return 2
     ds = io.read_dataset(args.dataset)
-    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= cfg.num_classes))
+    spec = nn.default_network_spec(uncertainty.DEFAULT_BINNING.num_classes)  # collect's bins
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= spec.num_classes))
     if bad.size:
         print(f"{args.dataset}: labels.csv line {bad[0] + 2} has class {ds.labels[bad[0]]}, "
-              f"outside [0, {cfg.num_classes})", file=sys.stderr)
+              f"outside [0, {spec.num_classes})", file=sys.stderr)
         return 2
-    spec = nn.default_network_spec(cfg.num_classes)
     dataset_hash = io.dataset_hash(args.dataset)
     rng = np.random.default_rng(cfg.seed)
     meta: dict = {"seed": cfg.seed, "dataset_hash": dataset_hash}
@@ -158,7 +170,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
             init = _vi_mean(args.vi_model, init.size)
         feats = bayes.extract_features_batch(base.mcd, ds.images)
         fds = bayes.FeatureDataset(feats, np.asarray(ds.labels, dtype=np.int64))
-        prior = bayes.Prior(sigma=args.prior_sigma)
         if args.method == "vi":
             meta["iterations"] = cfg.vi_iterations
             vcfg = bayes.ViConfig(cfg.vi_iterations, 1, cfg.vi_lr, cfg.seed)
@@ -222,6 +233,7 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
                 errors.append(f"{label}: {est.error_count} of {n} episodes raised{first}")
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     config_echo["weathers"] = list(cfg.weathers)
+    config_echo["num_classes"] = model.mcd.spec.num_classes
     io.write_summary_report(args.report, config_echo, spec, n, cells)
     scenario = sim.scenario_by_name(cfg.scenario)
     with open(args.log, "w", newline="") as fh:
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mcd-model", help="trained MCD model (extractor) for vi/hmc")
     p.add_argument("--vi-model", help="optional VI model whose mean seeds the HMC chain")
-    p.add_argument("--prior-sigma", type=float, default=1.0)
+    p.add_argument("--prior-sigma", type=float, help="prior scale for vi/hmc (default 1.0)")
     p.add_argument("--epochs", type=int, dest="epochs")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--lr", type=float, dest="lr")
@@ -290,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hmc-burn-in", type=int, dest="hmc_burn_in")
     p.add_argument("--hmc-samples", type=int, dest="hmc_samples")
     p.add_argument("--hmc-thin", type=int, dest="hmc_thin")
-    p.add_argument("--classes", type=int, dest="num_classes")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval-safety", help="Chernoff-certified safety per weather")
@@ -321,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -338,7 +346,7 @@ def main(argv=None) -> int:
     except io.InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -7,12 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bayes, nn, uncertainty
+from . import bayes, uncertainty
 
 
 @dataclass(frozen=True)
 class BnnController:
-    """Maps an observation to a steering command via n posterior samples.
+    """Maps an observation to a steering command via n posterior samples;
+    the posterior's network has one output per steering bin.
 
     For VI/HMC posteriors the fixed extractor weights come from `mcd`
     (features are computed once per frame regardless of method).
@@ -20,7 +21,6 @@ class BnnController:
 
     mcd: bayes.McdPosterior
     posterior: bayes.Posterior
-    bins: uncertainty.Binning = uncertainty.DEFAULT_BINNING
     eps: float = 0.1
     n_samples: int = 32
     thresholds: uncertainty.WarningThresholds = uncertainty.WarningThresholds()
@@ -30,9 +30,8 @@ class BnnController:
             rng: np.random.Generator):
         feats = bayes.extract_features(self.mcd, obs)
         pred = uncertainty.predictive(self.posterior, feats, self.n_samples, rng)
-        decision = uncertainty.decide(pred, self.bins)
+        decision = uncertainty.decide(pred)
         if not self.with_confidence:
             return decision.steering, None
-        report = uncertainty.confidence_report(pred, decision, self.eps,
-                                               self.bins, self.thresholds)
+        report = uncertainty.confidence_report(pred, decision, self.eps, self.thresholds)
         return decision.steering, report

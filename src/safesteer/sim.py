@@ -476,20 +476,13 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     jitter = rng_init.normal(0.0, scenario.disturbances.lateral_jitter_std)
     state = VehicleState(x0 - jitter * math.sin(h0), y0 + jitter * math.cos(h0),
                          h0, scenario.nominal_speed)
-    if not is_safe(state, scenario):
-        # a bad scenario, not a safety violation of the controller's
-        return EpisodePath((StepRecord(0, state, 0.0, 0.0, None, None),), "error", seed,
-                           () if keep_observations else None,
-                           f"unsafe start pose: x={state.x!r} y={state.y!r} "
-                           f"heading={state.heading!r}")
-
     records: list[StepRecord] = []
     frames: list[np.ndarray] = []
-    outcome = "completed"
-    error = None
-    braking = False
-    alerted = False
-    for k in range(scenario.horizon + 1):
+    outcome, error = "completed", None
+    braking = alerted = False
+    if not is_safe(state, scenario):
+        error = f"unsafe start pose: x={state.x!r} y={state.y!r} heading={state.heading!r}"
+    for k in range(scenario.horizon + 1 if error is None else 0):
         obs = apply_weather(render(state, scenario), weather, rng_weather)
         if keep_observations:
             frames.append(obs)
@@ -497,13 +490,9 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
             steering, report = controller.act(obs, state, scenario, rng_ctrl)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-        else:
-            # a NaN pose would pass every safety test
-            if not math.isfinite(steering):
-                error = f"non-finite steering: {float(steering)!r}"
-        if error is not None:
-            records.append(StepRecord(k, state, 0.0, 0.0, None, None))
-            outcome = "error"
+            break
+        if not math.isfinite(steering):  # a NaN pose would pass every safety test
+            error = f"non-finite steering: {float(steering)!r}"
             break
         warning = report.warning if report is not None else None
         if monitor is not None:
@@ -523,7 +512,6 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
         records.append(StepRecord(k, state, steering, speed_cmd, report, warning))
         # the controller keeps steering while the braking stop completes
         applied = steering + rng_noise.normal(0.0, scenario.disturbances.steering_noise_std)
-        applied = min(max(applied, -1.0), 1.0)
         state = step(state, applied, speed_cmd, scenario.dt)
         if not is_safe(state, scenario):
             outcome = "collided" if hits_obstacle(state, scenario) else "out_of_bounds"
@@ -533,6 +521,9 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
             break
         if scenario.centerline.project(state.x, state.y)[1] >= scenario.centerline.length - 1.0:
             break
+    if error is not None:
+        records.append(StepRecord(len(records), state, 0.0, 0.0, None, None))
+        outcome = "error"
     return EpisodePath(tuple(records), outcome, seed,
                        tuple(frames) if keep_observations else None, error)
 

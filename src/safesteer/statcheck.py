@@ -115,11 +115,8 @@ def estimate_probabilistic_safety(scenario: sim.ScenarioConfig, controller,
         autonomy_rate=1.0 - count["handover"] / n, logged=logged)
 
 
-def estimate_decision_confidence_offline(posterior: bayes.Posterior,
-                                         features: np.ndarray,
-                                         spec: PrecisionSpec, seed,
-                                         eps: float = 0.1,
-                                         bins: uncertainty.Binning = uncertainty.DEFAULT_BINNING,
+def estimate_decision_confidence_offline(posterior: bayes.Posterior, features: np.ndarray,
+                                         spec: PrecisionSpec, seed, eps: float = 0.1,
                                          decision: uncertainty.Decision | None = None,
                                          ) -> tuple[float, int]:
     """Audit of the fixed-sample real-time confidence: draw the
@@ -129,6 +126,6 @@ def estimate_decision_confidence_offline(posterior: bayes.Posterior,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pred = uncertainty.predictive(posterior, features, n, rng)
     if decision is None:
-        decision = uncertainty.decide(pred, bins)
-    return uncertainty.decision_confidence(pred, decision, eps, bins), n
+        decision = uncertainty.decide(pred)
+    return uncertainty.decision_confidence(pred, decision, eps), n
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +53,7 @@ def steering_to_class(angle: float, bins: Binning = DEFAULT_BINNING) -> int:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    per_sample_probs: np.ndarray  # (n, K)
-    mean_probs: np.ndarray        # (K,)
+    per_sample_probs: np.ndarray  # (n, K): the network's K outputs, one steering bin each
 
     def __post_init__(self):
         p = self.per_sample_probs
@@ -64,16 +64,19 @@ class PredictiveDistribution:
             raise ValueError("rows must be finite and sum to 1")
         if not p.min() >= 0.0:
             raise ValueError("probabilities must be non-negative")
-        m = self.mean_probs
-        if m.shape != p.shape[1:]:
-            raise ValueError(f"mean_probs has shape {m.shape}, expected {p.shape[1:]}")
-        if not (m.min() >= 0.0 and m.max() < math.inf):  # a NaN fails both
-            raise ValueError("mean probabilities must be finite and non-negative")
 
     @classmethod
     def from_samples(cls, rows: np.ndarray) -> "PredictiveDistribution":
-        rows = np.asarray(rows, dtype=np.float64)
-        return cls(rows, rows.sum(axis=0) / rows.shape[0])  # the column means
+        return cls(np.asarray(rows, dtype=np.float64))
+
+    @cached_property
+    def mean_probs(self) -> np.ndarray:  # (K,)
+        p = self.per_sample_probs
+        return p.sum(axis=0) / p.shape[0]
+
+    @cached_property
+    def bins(self) -> Binning:
+        return Binning(self.per_sample_probs.shape[1])
 
     @property
     def n_samples(self) -> int:
@@ -112,21 +115,20 @@ def predictive(post: bayes.Posterior, features: np.ndarray, n: int,
     return PredictiveDistribution.from_samples(nn.softmax(logits))
 
 
-def decide(pred: PredictiveDistribution, bins: Binning = DEFAULT_BINNING) -> Decision:
+def decide(pred: PredictiveDistribution) -> Decision:
     """Most likely class of the predictive mean; ties break low."""
     idx = int(np.argmax(pred.mean_probs))
-    return Decision(idx, bin_center(idx, bins))
+    return Decision(idx, bin_center(idx, pred.bins))
 
 
 def decision_confidence(pred: PredictiveDistribution, decision: Decision,
-                        eps: float = 0.1, bins: Binning = DEFAULT_BINNING) -> float:
+                        eps: float = 0.1) -> float:
     """Fraction of weight samples whose own most likely steering lands within
     eps of the deployed decision."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     votes = np.argmax(pred.per_sample_probs, axis=1)
-    # each vote's bin center, as Binning.centers() computes it
-    centers = STEERING_LO + (votes + 0.5) * bins.width
+    centers = pred.bins.centers()[votes]
     # small slack so a center distance of exactly eps survives float rounding
     inside = np.abs(centers - decision.steering) <= eps + 1e-12
     return int(np.count_nonzero(inside)) / inside.size
@@ -177,8 +179,7 @@ class WarningThresholds:
 
 
 def confidence_report(pred: PredictiveDistribution, decision: Decision,
-                      eps: float, bins: Binning,
-                      thresholds: WarningThresholds) -> ConfidenceReport:
-    eta2 = decision_confidence(pred, decision, eps, bins)
+                      eps: float, thresholds: WarningThresholds) -> ConfidenceReport:
+    eta2 = decision_confidence(pred, decision, eps)
     mi = mutual_information(pred)
     return ConfidenceReport(eta2, mi, thresholds.classify(eta2, mi), pred.n_samples)

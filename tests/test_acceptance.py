@@ -174,9 +174,7 @@ def test_criterion_5_uncertainty_bounds():
                              size=int(rng.integers(1, 40)))
         pred = uncertainty.PredictiveDistribution.from_samples(rows)
         mi = uncertainty.mutual_information(pred)
-        bins = uncertainty.Binning(k)
-        eta2 = uncertainty.decision_confidence(pred, uncertainty.decide(pred, bins),
-                                               0.1, bins)
+        eta2 = uncertainty.decision_confidence(pred, uncertainty.decide(pred), 0.1)
         ok &= 0.0 <= mi <= math.log(k) + 1e-12
         ok &= 0.0 <= eta2 <= 1.0
     same = uncertainty.PredictiveDistribution.from_samples(

@@ -57,6 +57,16 @@ def test_prior_scales():
         bayes.Prior(-1.0)
     with pytest.raises(ValueError, match="nan"):
         bayes.Prior(math.nan)
+    with pytest.raises(ValueError, match="inf"):
+        bayes.Prior(math.inf)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+def test_a_rate_must_be_finite_and_positive(value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        bayes.ViConfig(lr=value)
+    with pytest.raises(ValueError, match="finite and positive"):
+        bayes.HmcConfig(step_size=value)
 
 
 # ---------------------------------------------------------------------------

@@ -564,10 +564,9 @@ def test_config_rejects_bad_thresholds(tmp_path):
                    "--gamma", "0.05") == 2
 
 
-# Values that WarningThresholds, Binning or MonitorPolicy rejects, a
-# non-positive eps, or a string where a number belongs, each from a --config
-# file
-TYPE_RULE_CASES = ({"eps": 0}, {"eps": math.nan}, {"slow_factor": 2}, {"num_classes": 0},
+# Values that WarningThresholds or MonitorPolicy rejects, a non-positive
+# eps, or a string where a number belongs, each from a --config file
+TYPE_RULE_CASES = ({"eps": 0}, {"eps": math.nan}, {"slow_factor": 2},
                    {"delta1": 1.5, "delta2": 1.2}, {"delta2": math.nan},
                    {"mi_threshold": -1}, {"eps": "wide"}, {"delta1": "high"})
 
@@ -585,6 +584,95 @@ def test_a_value_its_type_rejects_exits_2_before_any_work(config, tmp_path, mcd_
     assert captured.err.startswith("configuration error:")
     assert captured.out == ""  # no cell ran
     assert not report.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-safety", "drive"])
+def test_a_num_classes_key_exits_2_before_any_work(command, tmp_path, mcd_model, capsys):
+    # the class count is the model's output width; no setting can disagree
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_classes": 30}))
+    out = tmp_path / "out"
+    args = {"eval-safety": ["eval-safety", *EVAL_ARGS, "--report", str(out),
+                            "--log", str(tmp_path / "log.csv")],
+            "drive": ["drive", "--out", str(out)]}[command]
+    assert run_cli("--config", str(cfg), *args, "--model", str(mcd_model)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: unknown config keys: ['num_classes']")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_train_has_no_classes_flag(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "mcd.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--method", "mcd", "--dataset", str(dataset_dir), "--out", str(out),
+                "--classes", "30")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --classes 30" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A rate or step size that is not a finite positive number: (method, field,
+# value), each once from its flag and once from a --config file
+RATE_CASES = ([("mcd", "lr", v) for v in (-1.0, 0.0, math.nan, math.inf)]
+              + [("vi", "vi_lr", v) for v in (-1.0, 0.0, math.nan)]
+              + [("hmc", "hmc_step_size", v) for v in (0.0, -0.01, math.nan)])
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("method,name,value", RATE_CASES,
+                         ids=[f"{name}={value}" for _, name, value in RATE_CASES])
+def test_a_bad_rate_exits_2_before_any_work(method, name, value, source, tmp_path,
+                                            mcd_model, capsys):
+    out = tmp_path / "model.json"
+    args = ["train", "--method", method, "--dataset", str(tmp_path / "missing"),
+            "--out", str(out)]
+    if method != "mcd":
+        args += ["--mcd-model", str(mcd_model)]
+    if source == "flag":
+        args += ["--" + name.replace("_", "-"), str(value)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        args = ["--config", str(cfg), *args]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method,value", [("vi", "0"), ("vi", "nan"), ("hmc", "-5"),
+                                          ("hmc", "inf")])
+def test_a_bad_prior_sigma_exits_2_before_the_dataset_is_read(method, value, tmp_path,
+                                                              mcd_model, capsys):
+    out = tmp_path / "model.json"
+    # the dataset does not exist: reading it first would exit 1
+    assert run_cli("train", "--method", method, "--dataset", str(tmp_path / "missing"),
+                   "--mcd-model", str(mcd_model), "--prior-sigma", value,
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("train --prior-sigma: prior sigma must be finite and positive")
+    assert not out.exists()
+
+
+def test_train_mcd_exits_2_on_prior_sigma(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "mcd.json"
+    assert run_cli("train", "--method", "mcd", "--dataset", str(dataset_dir),
+                   "--prior-sigma", "-5", "--out", str(out)) == 2
+    assert "train --method mcd does not use --prior-sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_diverging_chain_is_one_error_line_and_exit_1(dataset_dir, mcd_model, tmp_path,
+                                                        capsys):
+    out = tmp_path / "vi.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way
+        assert run_cli("train", "--method", "vi", "--dataset", str(dataset_dir),
+                       "--mcd-model", str(mcd_model), "--vi-lr", "1e6",
+                       "--vi-iterations", "20", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: non-finite ELBO gradient\n"
+    assert not out.exists()
 
 
 # Every count once from a --config file, and each one that has a flag once

@@ -8,7 +8,7 @@ from safesteer import bayes, nn, sim, statcheck
 from safesteer.statcheck import (PrecisionSpec, chernoff_sample_size, estimate_bernoulli,
                                  estimate_decision_confidence_offline,
                                  estimate_probabilistic_safety)
-from safesteer.uncertainty import Binning, ConfidenceReport
+from safesteer.uncertainty import ConfidenceReport
 
 QUIET = sim.Disturbances(0.0, 0.0)
 FAST_SPEC = PrecisionSpec(0.45, 0.5)  # n = 4, for cheap episode tests
@@ -161,7 +161,7 @@ def test_offline_confidence_degenerate_posterior_is_one():
     post = bayes.ViPosterior(head, mu, np.full(mu.size, -1e6))
     for spec in (PrecisionSpec(0.05, 0.05), PrecisionSpec(0.2, 0.2)):
         eta, n = estimate_decision_confidence_offline(
-            post, np.array([0.1, -0.2, 0.4]), spec, seed=1, bins=Binning(4))
+            post, np.array([0.1, -0.2, 0.4]), spec, seed=1)
         assert eta == 1.0
         assert n == chernoff_sample_size(spec)
 
@@ -173,6 +173,5 @@ def test_offline_confidence_in_unit_interval():
                              np.full(nn.param_count(head), -0.5))
     for seed in range(5):
         eta, _ = estimate_decision_confidence_offline(
-            post, rng.normal(0, 1, 3), PrecisionSpec(0.2, 0.2), seed=seed,
-            bins=Binning(4))
+            post, rng.normal(0, 1, 3), PrecisionSpec(0.2, 0.2), seed=seed)
         assert 0.0 <= eta <= 1.0

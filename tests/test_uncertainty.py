@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from safesteer import bayes, nn, uncertainty
+from safesteer import bayes, nn, sim, uncertainty
+from safesteer.controllers import BnnController
 from safesteer.uncertainty import (Binning, Decision, PredictiveDistribution,
                                    WarningThresholds, bin_center, decide,
                                    decision_confidence, mutual_information,
                                    predictive, steering_to_class)
 from oracles import (decision_confidence_reference, entropy_reference,
                      mutual_information_reference, predictive_per_sample)
-
-BINS = Binning()
 
 
 def tiny_head(num_classes=4):
@@ -43,7 +42,7 @@ def test_binning_round_trip():
     rng = np.random.default_rng(0)
     for angle in rng.uniform(-1, 1, 10_000):
         back = bin_center(steering_to_class(angle))
-        assert abs(back - angle) <= BINS.width / 2 + 1e-12
+        assert abs(back - angle) <= Binning().width / 2 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def test_predictive_rejects_anything_but_a_feature_vector(kind, shape):
 def test_decide_one_hot():
     rows = np.zeros((3, 20))
     rows[:, 7] = 1.0
-    d = decide(pred_from_rows(rows), BINS)
+    d = decide(pred_from_rows(rows))
     assert d.class_index == 7
     assert d.steering == pytest.approx(-0.25, abs=1e-12)
 
@@ -152,19 +151,42 @@ def test_decide_tie_breaks_low():
     row = np.zeros(20)
     row[3] = 0.5
     row[9] = 0.5
-    assert decide(pred_from_rows([row]), BINS).class_index == 3
+    assert decide(pred_from_rows([row])).class_index == 3
     uniform = np.full(20, 1.0 / 20.0)
-    assert decide(pred_from_rows([uniform]), BINS).class_index == 0
+    assert decide(pred_from_rows([uniform])).class_index == 0
 
 
 def test_decide_rescaling_invariance():
     rng = np.random.default_rng(8)
     for _ in range(50):
         rows = rng.dirichlet(np.ones(20), size=6)
-        base = decide(pred_from_rows(rows), BINS).class_index
+        base = decide(pred_from_rows(rows)).class_index
         scaled = rows * rng.uniform(0.5, 3.0)
         scaled = scaled / scaled.sum(axis=1, keepdims=True)
-        assert decide(pred_from_rows(scaled), BINS).class_index == base
+        assert decide(pred_from_rows(scaled)).class_index == base
+
+
+@pytest.mark.parametrize("method", ["mcd", "hmc"])
+def test_a_controller_steers_by_the_bins_of_its_networks_outputs(method):
+    # class i of a 10-class network means the centre of bin i of 10; no
+    # such centre is the centre of a bin of 20
+    spec = nn.default_network_spec(10)
+    rng = np.random.default_rng(5)
+    mcd = bayes.McdPosterior(spec, nn.init_weights(spec, rng))
+    hw = bayes.head_weights(mcd)
+    samples = hw + 0.5 * rng.standard_normal((6, hw.size))
+    post = mcd if method == "mcd" else bayes.HmcPosterior(spec.plan.head_spec, samples)
+    ctl = BnnController(mcd, post)
+    scenario = sim.straight_obstacle_scenario()
+    for i, x in enumerate(np.linspace(0.0, 40.0, 12)):
+        state = sim.VehicleState(x, 0.3 * math.sin(i), 0.1 * math.cos(i), 8.0)
+        obs = sim.render(state, scenario)
+        steering, report = ctl.act(obs, state, scenario, np.random.default_rng(i))
+        pred = predictive(post, bayes.extract_features(mcd, obs), ctl.n_samples,
+                          np.random.default_rng(i))
+        idx = int(np.argmax(pred.mean_probs))
+        assert steering == bin_center(idx, Binning(10))
+        assert report.eta2 == decision_confidence(pred, Decision(idx, steering), ctl.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +201,34 @@ def one_hot_rows(classes, k=20):
 
 def test_confidence_all_agree():
     pred = pred_from_rows(one_hot_rows([5] * 10))
-    d = decide(pred, BINS)
-    assert decision_confidence(pred, d, 0.1, BINS) == 1.0
+    d = decide(pred)
+    assert decision_confidence(pred, d, 0.1) == 1.0
 
 
 def test_confidence_counting():
     pred = pred_from_rows(one_hot_rows([5] * 7 + [12] * 3))
     d = Decision(5, bin_center(5))
-    assert decision_confidence(pred, d, 0.1, BINS) == pytest.approx(0.7)
+    assert decision_confidence(pred, d, 0.1) == pytest.approx(0.7)
 
 
 def test_confidence_adjacent_bins_count_at_one_width():
     # neighbours sit exactly eps away and must count as inside
     pred = pred_from_rows(one_hot_rows([9] * 4 + [10] * 4 + [11] * 4))
     d = Decision(10, bin_center(10))
-    assert decision_confidence(pred, d, 0.1, BINS) == 1.0
+    assert decision_confidence(pred, d, 0.1) == 1.0
     pred2 = pred_from_rows(one_hot_rows([8] * 4 + [10] * 8))
-    assert decision_confidence(pred2, d, 0.1, BINS) == pytest.approx(8.0 / 12.0)
+    assert decision_confidence(pred2, d, 0.1) == pytest.approx(8.0 / 12.0)
 
 
 def test_confidence_permutation_invariant():
     rng = np.random.default_rng(9)
     rows = rng.dirichlet(np.ones(20), size=16)
     pred = pred_from_rows(rows)
-    d = decide(pred, BINS)
-    base = decision_confidence(pred, d, 0.1, BINS)
+    d = decide(pred)
+    base = decision_confidence(pred, d, 0.1)
     for _ in range(5):
         shuffled = rows[rng.permutation(16)]
-        assert decision_confidence(pred_from_rows(shuffled), d, 0.1, BINS) == base
+        assert decision_confidence(pred_from_rows(shuffled), d, 0.1) == base
 
 
 def test_confidence_in_unit_interval():
@@ -214,7 +236,7 @@ def test_confidence_in_unit_interval():
     for _ in range(100):
         rows = rng.dirichlet(np.ones(20), size=rng.integers(1, 30))
         pred = pred_from_rows(rows)
-        eta2 = decision_confidence(pred, decide(pred, BINS), 0.1, BINS)
+        eta2 = decision_confidence(pred, decide(pred), 0.1)
         assert 0.0 <= eta2 <= 1.0
 
 
@@ -285,7 +307,7 @@ def test_warning_monotone():
 
 def test_predictive_row_validation():
     with pytest.raises(ValueError):
-        PredictiveDistribution(np.array([[0.5, 0.2]]), np.array([0.5, 0.2]))
+        PredictiveDistribution(np.array([[0.5, 0.2]]))
     good = [0.25, 0.25, 0.5]
     for bad in ([math.nan, 0.5, 0.5], [math.nan] * 3, [math.inf, 0.0, 0.0],
                 [-math.inf, 1.0, 1.0], [math.inf, -math.inf, 1.0],
@@ -295,22 +317,11 @@ def test_predictive_row_validation():
             with pytest.raises(ValueError, match="finite|non-negative"):
                 PredictiveDistribution.from_samples(rows)
             with pytest.raises(ValueError, match="finite|non-negative"):
-                PredictiveDistribution(rows, np.array(good))
+                PredictiveDistribution(rows)
     # exact zeros, -0.0 and rounding within 1e-9 of a unit sum are accepted
     ok = np.array([good, [-0.0, 1.0, 0.0], [0.5, 0.5 - 1e-12, 0.0]])
     assert PredictiveDistribution.from_samples(ok).n_samples == 3
-    assert PredictiveDistribution(ok, np.array([0.0, -0.0, 1.0])).n_samples == 3
-    # the mean row is checked too: one entry per class, finite, non-negative
-    rows = np.full((4, 20), 0.05)
-    for bad in (np.full(20, math.nan), np.full(3, 1 / 3), np.full((1, 20), 0.05),
-                np.array(0.05), np.full(21, 0.05)):
-        with pytest.raises(ValueError, match="shape|finite"):
-            PredictiveDistribution(rows, bad)
-    for entry in (math.nan, math.inf, -math.inf, -1e-300):
-        bad = np.full(20, 0.05)
-        bad[7] = entry
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            PredictiveDistribution(rows, bad)
+    assert PredictiveDistribution(ok).n_samples == 3
 
 
 def _hex(x):
@@ -345,7 +356,8 @@ def test_confidence_and_mi_bytes_equal_the_reference_bodies():
         pred = pred_from_rows(rows)
         assert pred.mean_probs.tobytes() == rows.mean(axis=0).tobytes()
         k = rows.shape[1]
-        bins = Binning(num_classes=k)
+        bins = pred.bins  # K bins, from the rows' width
+        assert bins == Binning(k)
         for p in (pred.per_sample_probs, pred.mean_probs):
             got, want = uncertainty._entropy(p), entropy_reference(p)
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -353,9 +365,9 @@ def test_confidence_and_mi_bytes_equal_the_reference_bodies():
         got = mutual_information(pred)
         assert type(got) is float
         assert got.hex() == mutual_information_reference(pred).hex()
-        for decision in (decide(pred, bins), Decision(0, bin_center(0, bins)),
+        for decision in (decide(pred), Decision(0, bin_center(0, bins)),
                          Decision(k - 1, bin_center(k - 1, bins))):
             for eps in (0.1, 0.05, 2.0 / k, 1e-3, 3.0):
-                got = decision_confidence(pred, decision, eps, bins)
+                got = decision_confidence(pred, decision, eps)
                 want = decision_confidence_reference(pred, decision, eps, bins)
                 assert type(got) is float and got.hex() == want.hex()
