@@ -2,8 +2,10 @@
 # Run one seeded collect -> train (mcd, vi, hmc) -> eval-safety -> drive
 # chain on both scenarios with the sources of the checkout SRC, writing every
 # artifact under OUT, and print "sha256  path" for each file, paths relative
-# to OUT. Run it on two checkouts (a parent commit and a change) and diff the
-# two outputs: a change that keeps seeded artifacts byte-identical prints the
+# to OUT. Each scenario is also collected at frame strides 1 and 3, for the
+# digests only, so that more of collect's kept-frame patterns are compared.
+# Run it on two checkouts (a parent commit and a change) and diff the two
+# outputs: a change that keeps seeded artifacts byte-identical prints the
 # same lines. Digests depend on the NumPy and BLAS build, so compare only
 # runs made on one machine.
 #
@@ -25,6 +27,10 @@ for scenario in straight_obstacle roundabout_first_exit; do
     d="$out/$scenario"
     mkdir -p "$d"
     run collect --scenario "$scenario" --episodes 2 --frame-stride 4 --seed 11 --out "$d/data"
+    for stride in 1 3; do
+        run collect --scenario "$scenario" --episodes 2 --frame-stride "$stride" --seed 11 \
+            --out "$d/data-stride$stride"
+    done
     run train --scenario "$scenario" --method mcd --dataset "$d/data" --epochs 2 --seed 1 \
         --out "$d/mcd.json"
     run train --scenario "$scenario" --method vi --dataset "$d/data" --mcd-model "$d/mcd.json" \

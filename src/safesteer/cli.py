@@ -122,6 +122,20 @@ def _controller(model: io.TrainedModel, cfg: RunConfig,
                          with_confidence)
 
 
+def _eps_leaves_a_bin_out(model: io.TrainedModel, cfg: RunConfig) -> bool:
+    """With K bins, every vote lies within eps of the decision once eps
+    reaches the widest distance between two bin centres, 2 - 2/K. Then eta2
+    is 1 on every frame and the monitor can never warn, so such an eps is a
+    configuration error for the model."""
+    bins = uncertainty.Binning(model.mcd.spec.num_classes)
+    bound = (uncertainty.STEERING_HI - uncertainty.STEERING_LO) - bins.width
+    if cfg.eps < bound:
+        return True
+    print(f"configuration error: eps must be below {bound!r} (2 - 2/K for the model's "
+          f"K = {bins.num_classes} steering bins), got {cfg.eps!r}", file=sys.stderr)
+    return False
+
+
 def cmd_collect(args, cfg: RunConfig) -> int:
     scenario = sim.scenario_by_name(cfg.scenario)
     ds = sim.collect_dataset(scenario, cfg.episodes, cfg.seed, cfg.frame_stride)
@@ -200,6 +214,8 @@ def _vi_mean(path, n_params: int) -> np.ndarray:
 
 def cmd_eval_safety(args, cfg: RunConfig) -> int:
     model = io.load_model(args.model)
+    if not _eps_leaves_a_bin_out(model, cfg):
+        return 2
     spec = statcheck.PrecisionSpec(cfg.theta, cfg.gamma)
     n = statcheck.chernoff_sample_size(spec)
     monitor_options = [False, True] if args.with_monitor else [False]
@@ -246,6 +262,8 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
 
 def cmd_drive(args, cfg: RunConfig) -> int:
     model = io.load_model(args.model)
+    if not _eps_leaves_a_bin_out(model, cfg):
+        return 2
     scenario = sim.scenario_by_name(cfg.scenario, weather=args.weather)
     controller = _controller(model, cfg, with_confidence=args.monitor)
     monitor = sim.MonitorPolicy(cfg.slow_factor) if args.monitor else None

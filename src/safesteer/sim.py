@@ -400,7 +400,11 @@ def autopilot_steering(state: VehicleState, scenario: ScenarioConfig) -> float:
 
 @dataclass(frozen=True)
 class AutopilotController:
-    """Scripted data-collection driver; reads the true state, not the camera."""
+    """Scripted data-collection autopilot. It reads the true state, not the
+    camera, so `run_episode` renders only the frames it keeps and passes
+    None."""
+
+    observes = False  # a controller without this attribute reads the camera
 
     def act(self, obs, state, scenario, rng):
         return autopilot_steering(state, scenario), None
@@ -462,12 +466,24 @@ class EpisodePath:
 
 
 def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | None = None,
-                seed=0, keep_observations: bool = False) -> EpisodePath:
+                seed=0, keep_stride: int = 0) -> EpisodePath:
     """Drive one monitored or unmonitored episode. Deterministic given
-    (scenario, controller, seed): disturbances, weather and controller
-    sampling each own a child stream of the seed. A jittered start pose
-    outside the safe set is an "error" outcome, not a violation of the
-    controller's."""
+    (scenario, controller, seed, keep_stride): disturbances, weather and
+    controller sampling each own a child stream of the seed. A jittered
+    start pose outside the safe set is an "error" outcome, not a violation
+    of the controller's.
+
+    keep_stride s >= 1 keeps the frames of steps 0, s, 2s, ..., which pair
+    with records[::s]; 0 keeps none and leaves `observations` None. A step
+    renders and weathers a frame only if it is kept or the controller reads
+    it. A controller whose `observes` attribute is False reads only the
+    true state and is passed None; its episode draws weather only for kept
+    frames, so in a weather that draws (wet, rain) its kept frames at s > 1
+    differ from every-step rendering. `collect_dataset` drives in clear
+    weather, which draws nothing."""
+    if type(keep_stride) is not int or keep_stride < 0:
+        raise ValueError(f"keep_stride must be an integer >= 0, got {keep_stride!r}")
+    observes = getattr(controller, "observes", True)
     ss = np.random.SeedSequence(seed)
     rng_init, rng_weather, rng_ctrl, rng_noise = map(np.random.default_rng, ss.spawn(4))
     weather = WEATHER_PRESETS[scenario.weather]
@@ -483,9 +499,15 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     if not is_safe(state, scenario):
         error = f"unsafe start pose: x={state.x!r} y={state.y!r} heading={state.heading!r}"
     for k in range(scenario.horizon + 1 if error is None else 0):
-        obs = apply_weather(render(state, scenario), weather, rng_weather)
-        if keep_observations:
-            frames.append(obs)
+        # Rebind obs only once the new frame exists: freeing the old one first
+        # can shift glibc's heap enough to add tens of page faults per step.
+        keep = keep_stride > 0 and k % keep_stride == 0
+        if observes or keep:
+            obs = apply_weather(render(state, scenario), weather, rng_weather)
+            if keep:
+                frames.append(obs)
+        else:
+            obs = None
         try:
             steering, report = controller.act(obs, state, scenario, rng_ctrl)
         except Exception as exc:
@@ -525,27 +547,30 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
         records.append(StepRecord(len(records), state, 0.0, 0.0, None, None))
         outcome = "error"
     return EpisodePath(tuple(records), outcome, seed,
-                       tuple(frames) if keep_observations else None, error)
+                       tuple(frames) if keep_stride else None, error)
 
 
 def collect_dataset(scenario: ScenarioConfig, episodes: int, seed: int = 0,
                     frame_stride: int = 1) -> ImageDataset:
-    """Autopilot episodes in clear weather with jittered starts; labels are
-    the binned autopilot commands. Unsafe generating episodes are a bug and
-    abort collection."""
+    """Autopilot episodes in clear weather with jittered starts, keeping the
+    frame of every frame_stride-th step; labels are the binned autopilot
+    commands. Only the kept frames are rendered. Unsafe generating episodes
+    are a bug and abort collection."""
     if episodes < 1:
         raise ValueError("need at least one episode")
+    if type(frame_stride) is not int or frame_stride < 1:
+        raise ValueError(f"frame_stride must be an integer >= 1, got {frame_stride!r}")
     scenario = replace(scenario, weather="clear")
     pilot = AutopilotController()
     images: list[np.ndarray] = []
     labels: list[int] = []
     steerings: list[float] = []
     for ep in range(episodes):
-        path = run_episode(scenario, pilot, None, seed=[seed, ep], keep_observations=True)
+        path = run_episode(scenario, pilot, None, seed=[seed, ep], keep_stride=frame_stride)
         if not path.safe:
             raise RuntimeError(f"autopilot episode {ep} was unsafe ({path.outcome})")
-        for rec, frame in list(zip(path.records, path.observations))[::frame_stride]:
-            images.append(frame)
+        images.extend(path.observations)
+        for rec in path.records[::frame_stride]:
             labels.append(steering_to_class(rec.steering))
             steerings.append(rec.steering)
     return ImageDataset(np.stack(images), np.asarray(labels, dtype=np.int64),

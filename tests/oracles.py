@@ -20,20 +20,26 @@ the input, before it stopped at the lowest weighted layer) are the
 package's bodies as they were, calling its forward loop. `save_model_v2`
 is the model writer of format version 2 (one JSON document with base64
 arrays), kept to check that such a file is refused with a hint.
+`collect_dataset_reference` is the package's dataset collection as it was
+before it rendered only the kept frames: it keeps every frame of each
+autopilot episode and then slices every frame_stride-th (image, record)
+pair, through the package's episode loop.
 """
 
 import base64
+import dataclasses
 import json
 import math
 
 import numpy as np
 
 from safesteer import bayes, io
+from safesteer.datasets import ImageDataset
 from safesteer.sim import (CAMERA_FORWARD, CAMERA_HEIGHT, DROPLET_BRIGHTNESS,
                            DROPLET_RADIUS, IMG_H, IMG_W, MARK_BAND, MARKING,
                            OBSTACLE_COLOR, OFFROAD, ROAD, SKY, VIEW_RANGE,
-                           _pixel_rays)
-from safesteer.uncertainty import DEFAULT_BINNING
+                           AutopilotController, _pixel_rays, run_episode)
+from safesteer.uncertainty import DEFAULT_BINNING, steering_to_class
 
 _RAY_X, _RAY_Y, _RAY_Z = _pixel_rays()
 
@@ -445,3 +451,21 @@ def save_model_v2(model, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def collect_dataset_reference(scenario, episodes, seed=0, frame_stride=1):
+    """Every frame of each clear-weather autopilot episode is formed and
+    kept; every frame_stride-th (record, frame) pair is then taken."""
+    scenario = dataclasses.replace(scenario, weather="clear")
+    pilot = AutopilotController()
+    images, labels, steerings = [], [], []
+    for ep in range(episodes):
+        path = run_episode(scenario, pilot, None, seed=[seed, ep], keep_stride=1)
+        if not path.safe:
+            raise RuntimeError(f"autopilot episode {ep} was unsafe ({path.outcome})")
+        for rec, frame in list(zip(path.records, path.observations))[::frame_stride]:
+            images.append(frame)
+            labels.append(steering_to_class(rec.steering))
+            steerings.append(rec.steering)
+    return ImageDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
+                        scenario.kind, seed, np.asarray(steerings))

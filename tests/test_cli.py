@@ -602,6 +602,40 @@ def test_a_num_classes_key_exits_2_before_any_work(command, tmp_path, mcd_model,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", [math.inf, 1.9])
+@pytest.mark.parametrize("command", ["eval-safety", "drive"])
+def test_an_eps_whose_ball_holds_every_bin_exits_2_before_any_work(command, eps, tmp_path,
+                                                                   mcd_model, capsys):
+    # with 20 bins every vote lies within 1.9 of any decision, so eta2 would
+    # read 1.0 on every frame and the monitor could never warn
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": eps}))
+    out = tmp_path / "out"
+    args = {"eval-safety": ["eval-safety", *EVAL_ARGS, "--report", str(out),
+                            "--log", str(tmp_path / "log.csv")],
+            "drive": ["drive", "--weather", "rain", "--monitor", "--seed", "4",
+                      "--out", str(out)]}[command]
+    assert run_cli("--config", str(cfg), *args, "--model", str(mcd_model)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: eps must be below 1.9 (2 - 2/K for the "
+                            f"model's K = 20 steering bins), got {eps!r}\n")
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "log.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval-safety", "drive"])
+def test_an_eps_just_below_the_bound_runs(command, tmp_path, mcd_model):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 1.89}))
+    log = tmp_path / "log.csv"
+    args = {"eval-safety": ["eval-safety", *EVAL_ARGS, "--report", str(tmp_path / "r.json"),
+                            "--log", str(log)],
+            "drive": ["drive", "--weather", "rain", "--monitor", "--seed", "4",
+                      "--out", str(log)]}[command]
+    assert run_cli("--config", str(cfg), *args, "--model", str(mcd_model)) == 0
+    assert all(0.0 <= float(r["eta2"]) <= 1.0 for r in read_rows(log) if r["eta2"])
+
+
 def test_train_has_no_classes_flag(dataset_dir, tmp_path, capsys):
     out = tmp_path / "mcd.json"
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apply_weather_reference, render_reference
+from oracles import apply_weather_reference, collect_dataset_reference, render_reference
 from safesteer import sim
 from safesteer.geometry import PathBuilder, rects_overlap, wrap_angle
 from safesteer.uncertainty import ConfidenceReport, steering_to_class
@@ -518,7 +518,7 @@ def test_episode_unsafe_start_pose_is_an_error_not_a_violation():
     for seed in range(12):
         scn = sim.straight_obstacle_scenario(disturbances=wild)
         path = sim.run_episode(scn, ConstantController(0.0), None, seed=seed,
-                               keep_observations=True)
+                               keep_stride=1)
         start = path.records[0].state
         if sim.is_safe(start, scn):
             assert path.outcome != "error" and path.error is None
@@ -544,14 +544,35 @@ def test_episode_starts_at_the_start_of_the_centerline():
 
 def test_episode_deterministic_including_observations():
     scn = sim.straight_obstacle_scenario(weather="rain")
-    a = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_observations=True)
-    b = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_observations=True)
+    a = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_stride=1)
+    b = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_stride=1)
     assert a.outcome == b.outcome
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
     for fa, fb in zip(a.observations, b.observations):
         assert np.array_equal(fa, fb)
+
+
+def test_an_observing_controllers_kept_frames_are_every_stride_th_frame():
+    # the controller reads every frame, so rain draws at every step and the
+    # stride only picks which frames are returned
+    scn = sim.straight_obstacle_scenario(weather="rain")
+    every = sim.run_episode(scn, ConstantController(0.0), None, seed=5, keep_stride=1)
+    for stride in (2, 3):
+        kept = sim.run_episode(scn, ConstantController(0.0), None, seed=5, keep_stride=stride)
+        assert kept.records == every.records
+        assert len(kept.observations) == len(every.records[::stride])
+        for fa, fb in zip(kept.observations, every.observations[::stride]):
+            assert np.array_equal(fa, fb)
+    assert sim.run_episode(scn, ConstantController(0.0), None, seed=5).observations is None
+
+
+@pytest.mark.parametrize("stride", [-1, 1.0, 2.5, True, "2", None])
+def test_episode_keep_stride_must_be_a_non_negative_int(stride):
+    with pytest.raises(ValueError, match="keep_stride"):
+        sim.run_episode(straight_road(), ConstantController(0.0), None, seed=0,
+                        keep_stride=stride)
 
 
 def test_episode_records_bounded_by_horizon():
@@ -583,3 +604,26 @@ def test_collect_dataset_deterministic():
     b = sim.collect_dataset(scn, episodes=1, seed=9, frame_stride=8)
     assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("stride", [-5, 0, 2.5, np.int64(2), True])
+def test_collect_dataset_frame_stride_must_be_an_int_of_at_least_1(stride):
+    # -5 once returned each episode's frames in reverse, 0 raised a bare
+    # "slice step cannot be zero" and 2.5 a TypeError
+    with pytest.raises(ValueError, match="frame_stride"):
+        sim.collect_dataset(sim.straight_obstacle_scenario(), episodes=1, seed=3,
+                            frame_stride=stride)
+
+
+@pytest.mark.parametrize("kind", ["straight_obstacle", "roundabout_first_exit"])
+@pytest.mark.parametrize("stride", [1, 2, 3, 16])
+def test_collect_dataset_matches_every_frame_collection(kind, stride):
+    # rendering only the kept frames leaves every byte as it was
+    scn = sim.scenario_by_name(kind)
+    got = sim.collect_dataset(scn, episodes=2, seed=4, frame_stride=stride)
+    want = collect_dataset_reference(scn, 2, 4, stride)
+    for name in ("images", "labels", "steerings"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.scenario, got.seed) == (want.scenario, want.seed)

@@ -4,7 +4,9 @@ attributes (`perfbench/workloads.py`, `install_spans`). A call that reaches
 a layer some other way, say through a local alias or an inlined body, is
 invisible to them and its metric goes missing. These tests wrap the same
 attributes and check that one monitored MC-dropout rain episode and one
-HMC clear episode call every per-step layer through them, once per step."""
+HMC clear episode call every per-step layer through them, once per step,
+and that autopilot episodes form a frame (`render`, then `apply_weather`)
+only for the frames they keep."""
 
 from collections import Counter
 
@@ -75,6 +77,28 @@ def test_monitored_episode_calls_every_traced_layer_through_its_attribute(
     # the episode also looks for the end of the road
     assert calls["is_safe"] == steps + 1
     assert calls["project"] in (2 * steps, 2 * steps + 1)
+
+
+def test_an_autopilot_episode_that_keeps_no_frames_forms_none(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    path = sim.run_episode(sim.straight_obstacle_scenario(weather="rain"),
+                           sim.AutopilotController(), None, seed=[3, 1])
+    assert path.outcome == "completed" and path.observations is None
+    assert calls["render"] == calls["apply_weather"] == 0
+    assert calls["step"] == len(path.records)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 16])
+def test_collect_forms_exactly_the_frames_it_keeps(monkeypatch, stride):
+    scn = sim.roundabout_scenario()
+    lengths = [len(sim.run_episode(scn, sim.AutopilotController(), None, seed=[2, ep]).records)
+               for ep in range(3)]
+    calls = _count_calls(monkeypatch)
+    ds = sim.collect_dataset(scn, episodes=3, seed=2, frame_stride=stride)
+    kept = sum(-(-n // stride) for n in lengths)  # ceil(n / stride) per episode
+    assert len(ds) == kept
+    assert calls["render"] == calls["apply_weather"] == kept
+    assert calls["run_episode"] == 3 and calls["step"] == sum(lengths)
 
 
 def test_one_frame_extraction_is_one_batch_1_forward_pass(monkeypatch):
