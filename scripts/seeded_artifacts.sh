@@ -7,7 +7,9 @@
 # Run it on two checkouts (a parent commit and a change) and diff the two
 # outputs: a change that keeps seeded artifacts byte-identical prints the
 # same lines. Digests depend on the NumPy and BLAS build, so compare only
-# runs made on one machine.
+# runs made on one machine. The script exits 1, after printing the digests,
+# when any run failed, since a chain of failed runs digests the same on any
+# two checkouts.
 #
 # usage: scripts/seeded_artifacts.sh SRC OUT
 set -uo pipefail
@@ -18,9 +20,10 @@ fi
 src=$(cd "$1" && pwd) || exit 2
 mkdir -p "$2" && out=$(cd "$2" && pwd) || exit 2
 
+failed=0
 run() {
     PYTHONPATH="$src/src" OPENBLAS_NUM_THREADS=1 "${PYTHON:-python3}" -m safesteer "$@" \
-        > /dev/null || echo "exit $?: safesteer $*" >&2
+        > /dev/null || { echo "exit $?: safesteer $*" >&2; failed=1; }
 }
 
 for scenario in straight_obstacle roundabout_first_exit; do
@@ -31,11 +34,11 @@ for scenario in straight_obstacle roundabout_first_exit; do
         run collect --scenario "$scenario" --episodes 2 --frame-stride "$stride" --seed 11 \
             --out "$d/data-stride$stride"
     done
-    run train --scenario "$scenario" --method mcd --dataset "$d/data" --epochs 2 --seed 1 \
+    run train --method mcd --dataset "$d/data" --epochs 2 --seed 1 \
         --out "$d/mcd.json"
-    run train --scenario "$scenario" --method vi --dataset "$d/data" --mcd-model "$d/mcd.json" \
+    run train --method vi --dataset "$d/data" --mcd-model "$d/mcd.json" \
         --vi-iterations 40 --seed 2 --out "$d/vi.json"
-    run train --scenario "$scenario" --method hmc --dataset "$d/data" --mcd-model "$d/mcd.json" \
+    run train --method hmc --dataset "$d/data" --mcd-model "$d/mcd.json" \
         --hmc-burn-in 5 --hmc-samples 8 --hmc-thin 1 --hmc-step-size 0.002 --seed 3 \
         --out "$d/hmc.json"
     for m in mcd vi hmc; do
@@ -50,3 +53,7 @@ for scenario in straight_obstacle roundabout_first_exit; do
 done
 
 cd "$out" && find . -type f | LC_ALL=C sort | xargs sha256sum
+if [ "$failed" -ne 0 ]; then
+    echo "some runs failed; see the exit lines above" >&2
+    exit 1
+fi

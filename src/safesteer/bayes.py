@@ -302,8 +302,8 @@ def leapfrog(q: np.ndarray, p: np.ndarray, step_size: float, steps: int,
         raise ValueError("position/momentum shapes disagree")
     if steps < 1:
         raise ValueError("need at least one step")
-    q = q.astype(np.float64).copy()
-    p = p.astype(np.float64).copy()
+    q = q.astype(np.float64)  # astype copies, so the caller's arrays stay as they were
+    p = p.astype(np.float64)
     p -= 0.5 * step_size * grad_u(q)
     for i in range(steps):
         q += step_size * p

@@ -72,9 +72,13 @@ class RunConfig:
         bayes.ViConfig(self.vi_iterations, 1, self.vi_lr, self.seed)
         bayes.HmcConfig(self.hmc_step_size, self.hmc_leapfrog, self.hmc_burn_in,
                         self.hmc_samples, self.hmc_thin)
-        for w in self.weathers:
+        if not self.weathers:
+            raise ValueError("weathers lists no weather")
+        for i, w in enumerate(self.weathers):
             if w not in sim.WEATHER_PRESETS:
                 raise ValueError(f"unknown weather {w!r}")
+            if w in self.weathers[:i]:
+                raise ValueError(f"weathers lists {w!r} twice")
 
 
 CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
@@ -82,28 +86,33 @@ CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Config file supplies defaults; explicitly passed flags win."""
-    cfg = RunConfig()
+    values = {}
     if path is not None:
         with open(path) as fh:
-            data = json.load(fh)
-        unknown = set(data) - CONFIG_FIELDS
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
+        unknown = set(values) - CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "weathers" in data:
-            data["weathers"] = tuple(data["weathers"])
-        cfg = replace(cfg, **data)
-    live = {k: v for k, v in overrides.items() if v is not None}
-    if "weathers" in live:
-        live["weathers"] = _parse_weathers(live["weathers"])
-    cfg = replace(cfg, **live)
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    if "weathers" in values:
+        values["weathers"] = _parse_weathers(values["weathers"])
+    cfg = replace(RunConfig(), **values)
     cfg.validate()
     return cfg
 
 
-def _parse_weathers(text: str) -> tuple[str, ...]:
-    if text == "all":
+def _parse_weathers(value) -> tuple[str, ...]:
+    """The weathers of `--weathers` or a config file's "weathers": "all", a
+    comma list such as "clear,rain", or a JSON list of names."""
+    if value == "all":
         return ALL_WEATHERS
-    return tuple(w.strip() for w in text.split(",") if w.strip())
+    if isinstance(value, str):
+        return tuple(w.strip() for w in value.split(",") if w.strip())
+    if isinstance(value, list):
+        return tuple(value)
+    raise ValueError(f"weathers must be 'all', a comma list or a list, got {value!r}")
 
 
 def training_accuracy(mcd: bayes.McdPosterior, ds) -> float:
@@ -160,14 +169,13 @@ def cmd_train(args, cfg: RunConfig) -> int:
         except ValueError as exc:
             print(f"train --prior-sigma: {exc}", file=sys.stderr)
             return 2
-    ds = io.read_dataset(args.dataset)
+    ds, dataset_hash = io.read_dataset(args.dataset)
     spec = nn.default_network_spec(uncertainty.DEFAULT_BINNING.num_classes)  # collect's bins
     bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= spec.num_classes))
     if bad.size:
         print(f"{args.dataset}: labels.csv line {bad[0] + 2} has class {ds.labels[bad[0]]}, "
               f"outside [0, {spec.num_classes})", file=sys.stderr)
         return 2
-    dataset_hash = io.dataset_hash(args.dataset)
     rng = np.random.default_rng(cfg.seed)
     meta: dict = {"seed": cfg.seed, "dataset_hash": dataset_hash}
 
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_collect)
 
     p = sub.add_parser("train", help="train a posterior on a dataset")
-    shared(p)
+    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--method", choices=("mcd", "vi", "hmc"), required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)

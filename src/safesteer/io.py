@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from io import StringIO
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -38,7 +39,11 @@ class InputFileError(ValueError):
 
 def read_pgm(path) -> np.ndarray:
     """The 8-bit image of a binary PGM; raises InputFileError if malformed."""
-    data = FsPath(path).read_bytes()
+    return _decode_pgm(path, FsPath(path).read_bytes())
+
+
+def _decode_pgm(path, data: bytes) -> np.ndarray:
+    """The image in `data`, the bytes of the PGM file at `path`."""
     try:
         if not data.startswith(b"P5"):
             raise ValueError("not a binary PGM")
@@ -82,13 +87,21 @@ def write_dataset(ds: ImageDataset, directory) -> None:
             writer.writerow([i, int(label), steering, ds.scenario, ds.seed])
 
 
-def read_dataset(directory) -> ImageDataset:
-    """Read a dataset directory; raises InputFileError naming the file when
-    labels.csv or a frame is malformed or missing, or a frame is not 64x48."""
+def read_dataset(directory) -> tuple[ImageDataset, str]:
+    """Read a dataset directory: the dataset and the SHA-256 hex digest of
+    the bytes it was parsed from, labels.csv and then each listed frame in
+    row order. Raises InputFileError naming the file when labels.csv is not
+    UTF-8 or a value in it is malformed, or a listed frame is missing,
+    malformed or not 64x48."""
     directory = FsPath(directory)
     labels_path = directory / "labels.csv"
-    with open(labels_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    raw = labels_path.read_bytes()
+    digest = hashlib.sha256(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{labels_path}: not UTF-8 text: {exc}") from None
+    rows = list(csv.DictReader(StringIO(text, newline="")))
     if not rows:
         raise InputFileError(f"{labels_path}: lists no images")
     images, labels, steerings = [], [], []
@@ -102,23 +115,16 @@ def read_dataset(directory) -> ImageDataset:
         except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
             raise InputFileError(f"{labels_path}: line {line}: {exc!r}") from None
         img_path = directory / f"{index:06d}.pgm"
-        if not img_path.exists():
-            raise InputFileError(f"{img_path}: missing (labels.csv line {line})")
-        images.append(read_pgm(img_path))
+        try:
+            data = img_path.read_bytes()
+        except FileNotFoundError:
+            raise InputFileError(f"{img_path}: missing (labels.csv line {line})") from None
+        digest.update(data)
+        images.append(_decode_pgm(img_path, data))
         if images[-1].shape != nn.IMAGE_SHAPE[:2]:
             raise InputFileError(f"{img_path}: shape {images[-1].shape}, not {nn.IMAGE_SHAPE[:2]}")
-    return ImageDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
-                        scenario, seed, np.asarray(steerings))
-
-
-def dataset_hash(directory) -> str:
-    """SHA-256 over labels.csv and the image bytes, in index order."""
-    directory = FsPath(directory)
-    h = hashlib.sha256()
-    h.update((directory / "labels.csv").read_bytes())
-    for path in sorted(directory.glob("*.pgm")):
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    return (ImageDataset(np.stack(images), np.asarray(labels, dtype=np.int64),
+                         scenario, seed, np.asarray(steerings)), digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +132,25 @@ def dataset_hash(directory) -> str:
 
 @dataclass(frozen=True)
 class TrainedModel:
-    method: str  # "mcd" | "vi" | "hmc"
+    """A trained controller. Raises ValueError for an unknown method, a
+    posterior of another method's class, an MCD posterior that is not `mcd`
+    itself, or a VI or HMC head that is not the network's head."""
+
+    method: str  # a key of METHODS
     mcd: bayes.McdPosterior          # full-network weights (fixed extractor)
     posterior: bayes.Posterior       # what the controller samples from
     metadata: dict
+
+    def __post_init__(self):
+        cls, _ = _method(self.method)
+        if not isinstance(self.posterior, cls):
+            raise ValueError(f"method {self.method!r} needs a {cls.__name__}, "
+                             f"not a {type(self.posterior).__name__}")
+        if cls is bayes.McdPosterior:
+            if self.posterior is not self.mcd:
+                raise ValueError("an mcd model's posterior must be its network")
+        elif self.posterior.head != self.mcd.spec.plan.head_spec:
+            raise ValueError(f"the {self.method} head is not the network's head")
 
 
 def _spec_to_dict(spec: nn.NetworkSpec) -> dict:
@@ -145,19 +166,29 @@ def _spec_from_dict(d: dict) -> nn.NetworkSpec:
     return nn.NetworkSpec(layers, tuple(d["input_shape"]), d["num_classes"])
 
 
-# The arrays after the header, in file order: the network's weights, then
-# the posterior's own parameters.
-POSTERIOR_ARRAYS = {"mcd": (), "vi": ("vi.mu", "vi.rho"), "hmc": ("hmc.samples",)}
+# Each method's posterior class and the posterior fields that a model file
+# stores after the network's weights, in file order, as arrays named
+# "<method>.<field>". An MCD posterior is the network itself.
+METHODS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "mcd": (bayes.McdPosterior, ()),
+    "vi": (bayes.ViPosterior, ("mu", "rho")),
+    "hmc": (bayes.HmcPosterior, ("samples",)),
+}
+
+
+def _method(method) -> tuple[type, tuple[str, ...]]:
+    """METHODS' entry for `method`; raises ValueError if it has none."""
+    if not isinstance(method, str) or method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method]
 
 
 def save_model(model: TrainedModel, path) -> None:
     """One line of JSON header, then every array's little-endian float64
     bytes back to back, in the order the header's `arrays` lists them."""
-    arrays = {"weights": model.mcd.weights}
-    if isinstance(model.posterior, bayes.ViPosterior):
-        arrays.update({"vi.mu": model.posterior.mu, "vi.rho": model.posterior.rho})
-    elif isinstance(model.posterior, bayes.HmcPosterior):
-        arrays["hmc.samples"] = model.posterior.samples
+    _, stored = METHODS[model.method]
+    arrays = {"weights": model.mcd.weights,
+              **{f"{model.method}.{f}": getattr(model.posterior, f) for f in stored}}
     arrays = {name: np.ascontiguousarray(a, dtype="<f8") for name, a in arrays.items()}
     header = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -195,7 +226,8 @@ def _array_shapes(header: dict, method: str) -> list[tuple[str, tuple[int, ...]]
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("arrays must be a list of objects")
     names = [e["name"] for e in entries]
-    expected = ["weights", *POSTERIOR_ARRAYS[method]]
+    _, stored = _method(method)
+    expected = ["weights", *(f"{method}.{f}" for f in stored)]
     if names != expected:
         raise ValueError(f"arrays {names} do not match the {method} layout {expected}")
     out = []
@@ -219,8 +251,6 @@ def load_model(path) -> TrainedModel:
                 raise ValueError(f"unsupported format_version {header.get('format_version')}; "
                                  f"re-run `train` to write a version {MODEL_FORMAT_VERSION} file")
             method = header["method"]
-            if method not in POSTERIOR_ARRAYS:
-                raise ValueError(f"unknown method {method!r}")
             spec = _spec_from_dict(header["network"])
             shapes = _array_shapes(header, method)
             offsets = list(itertools.accumulate((math.prod(s) for _, s in shapes), initial=0))
@@ -238,19 +268,14 @@ def load_model(path) -> TrainedModel:
         if tuple(header["dropout_rates"]) != mcd.rates:
             raise ValueError(f"dropout_rates {tuple(header['dropout_rates'])} disagree "
                              f"with the network's {mcd.rates}")
-        head = nn.head_spec(spec)
-        posterior: bayes.Posterior
-        if method == "mcd":
-            posterior = mcd
-        elif method == "vi":
-            posterior = bayes.ViPosterior(head, arrays["vi.mu"], arrays["vi.rho"])
-        else:
-            posterior = bayes.HmcPosterior(head, arrays["hmc.samples"])
+        cls, stored = METHODS[method]
+        posterior = mcd if cls is bayes.McdPosterior else cls(
+            spec.plan.head_spec, *(arrays[f"{method}.{f}"] for f in stored))
+        return TrainedModel(method, mcd, posterior, header.get("metadata", {}))
     except KeyError as exc:
         raise InputFileError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong JSON type
         raise InputFileError(f"{path}: {exc}") from None
-    return TrainedModel(method, mcd, posterior, header.get("metadata", {}))
 
 
 # ---------------------------------------------------------------------------

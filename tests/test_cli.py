@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import math
 import re
@@ -68,7 +69,7 @@ def test_dataset_round_trip(tmp_path):
                       np.array([1, 2, 3, 4, 5]), "straight_obstacle", 9,
                       np.linspace(-0.2, 0.2, 5))
     io.write_dataset(ds, tmp_path / "d")
-    back = io.read_dataset(tmp_path / "d")
+    back, _ = io.read_dataset(tmp_path / "d")
     assert np.array_equal(back.images, ds.images)
     assert np.array_equal(back.labels, ds.labels)
     assert np.allclose(back.steerings, ds.steerings)
@@ -91,6 +92,43 @@ def test_read_dataset_rejects_empty_labels(tmp_path, content):
     (tmp_path / "labels.csv").write_text(content)
     with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
         io.read_dataset(tmp_path)
+
+
+def write_four_frame_dataset(directory):
+    rng = np.random.default_rng(1)
+    ds = ImageDataset(rng.integers(0, 256, (4, 48, 64)).astype(np.uint8),
+                      np.array([3, 7, 1, 0]), "straight_obstacle", 1, np.zeros(4))
+    io.write_dataset(ds, directory)
+
+
+def test_the_dataset_digest_covers_labels_then_the_listed_frames_in_row_order(tmp_path):
+    d = tmp_path / "d"
+    write_four_frame_dataset(d)
+    labels = d / "labels.csv"
+    lines = labels.read_text().splitlines(keepends=True)
+    labels.write_text("".join([lines[0], lines[3], lines[1], lines[4]]))  # frames 2, 0, 3
+    want = hashlib.sha256(labels.read_bytes())
+    for index in (2, 0, 3):
+        want.update((d / f"{index:06d}.pgm").read_bytes())
+    ds, digest = io.read_dataset(d)
+    assert digest == want.hexdigest()
+    assert list(ds.labels) == [1, 3, 0]
+    io.write_pgm(d / "000009.pgm", np.zeros((48, 64), dtype=np.uint8))  # a stale frame
+    assert io.read_dataset(d)[1] == digest
+
+
+def test_training_ignores_frames_that_labels_csv_does_not_list(tmp_path):
+    d = tmp_path / "d"
+    write_four_frame_dataset(d)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    args = ["train", "--method", "mcd", "--dataset", str(d), "--epochs", "1", "--out"]
+    assert run_cli(*args, str(first)) == 0
+    # what a smaller collect into the directory of a larger one leaves behind
+    io.write_pgm(d / "000004.pgm", np.zeros((48, 64), dtype=np.uint8))
+    assert run_cli(*args, str(second)) == 0
+    assert read_bytes(first) == read_bytes(second)
+    meta = io.load_model(first).metadata
+    assert meta["dataset_hash"] == io.read_dataset(d)[1]
 
 
 def test_collect_rows_match_images(dataset_dir):
@@ -163,6 +201,38 @@ def test_save_load_save_keeps_every_array_and_byte(tmp_path, mcd_model, method):
     assert header["arrays"] == [{"name": name, "shape": list(a.shape)}
                                 for name, a in zip(["weights", *names], want, strict=True)]
     assert payload == b"".join(a.astype("<f8").tobytes() for a in want)
+
+
+MISMATCHED_MODELS = ("vi-with-an-hmc-posterior", "hmc-with-an-mcd-posterior",
+                     "mcd-with-another-network", "vi-head-of-another-network",
+                     "unknown-method")
+
+
+@pytest.mark.parametrize("case", MISMATCHED_MODELS)
+def test_a_trained_model_rejects_a_posterior_its_method_cannot_store(case):
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(0)
+    mcd = bayes.McdPosterior(spec, nn.init_weights(spec, rng))
+    head = nn.head_spec(spec)
+    p = nn.param_count(head)
+    head10 = nn.head_spec(nn.default_network_spec(10))
+    p10 = nn.param_count(head10)
+    method, posterior, reason = {
+        "vi-with-an-hmc-posterior": (
+            "vi", bayes.HmcPosterior(head, rng.normal(0, 1, (3, p))),
+            "'vi' needs a ViPosterior, not a HmcPosterior"),
+        "hmc-with-an-mcd-posterior": (
+            "hmc", mcd, "'hmc' needs a HmcPosterior, not a McdPosterior"),
+        "mcd-with-another-network": (
+            "mcd", bayes.McdPosterior(spec, nn.init_weights(spec, rng)),
+            "an mcd model's posterior must be its network"),
+        "vi-head-of-another-network": (
+            "vi", bayes.ViPosterior(head10, np.zeros(p10), np.full(p10, -3.0)),
+            "the vi head is not the network's head"),
+        "unknown-method": ("sgd", mcd, "unknown method 'sgd'"),
+    }[case]
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        io.TrainedModel(method, mcd, posterior, {})
 
 
 def test_loading_an_hmc_model_peaks_near_its_array_bytes(tmp_path, mcd_model):
@@ -371,7 +441,7 @@ def test_train_exits_2_on_a_label_outside_the_classes(tmp_path, label, capsys):
 
 
 DATASET_FAULTS = ("truncated-pgm", "missing-pgm", "non-integer-index", "missing-column",
-                  "one-small-frame", "all-frames-40x60")
+                  "one-small-frame", "all-frames-40x60", "labels-not-utf8")
 
 
 @pytest.mark.parametrize("fault", DATASET_FAULTS)
@@ -393,6 +463,9 @@ def test_train_exits_2_and_names_the_file_of_a_malformed_dataset(tmp_path, fault
         else:
             lines[0] = lines[0].replace("scenario", "place")
         named.write_text("".join(lines))
+    elif fault == "labels-not-utf8":
+        named = d / "labels.csv"
+        named.write_bytes(named.read_bytes().replace(b"straight_obstacle", b"stra\xdfe"))
     elif fault == "one-small-frame":
         io.write_pgm(named, np.zeros((10, 10), dtype=np.uint8))
     else:
@@ -644,6 +717,71 @@ def test_train_has_no_classes_flag(dataset_dir, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --classes 30" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_has_no_scenario_flag(dataset_dir, tmp_path, capsys):
+    # train reads no scenario; a config file may still set one for the other commands
+    out = tmp_path / "mcd.json"
+    args = ["train", "--method", "mcd", "--dataset", str(dataset_dir), "--epochs", "1",
+            "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args, "--scenario", "straight_obstacle")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scenario straight_obstacle" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "roundabout_first_exit"}))
+    assert run_cli("--config", str(cfg), *args) == 0
+
+
+# eval-safety's arguments without a weather list
+CELL_ARGS = ("--scenario", "straight_obstacle", "--theta", "0.45", "--gamma", "0.5",
+             "--seed", "2")
+
+# An empty or repeated weather list, from the flag or a config file: (flag
+# args, config)
+WEATHER_LIST_CASES = ((["--weathers", ""], None), (["--weathers", " , "], None),
+                      (["--weathers", "clear,clear"], None), ([], {"weathers": []}),
+                      ([], {"weathers": ["rain", "clear", "rain"]}),
+                      ([], {"weathers": "clear,clear"}))
+
+
+@pytest.mark.parametrize("flags,config", WEATHER_LIST_CASES, ids=[
+    "flag-empty", "flag-blank", "flag-repeated", "config-empty-list", "config-repeated-list",
+    "config-repeated-comma-list"])
+def test_an_empty_or_repeated_weather_list_exits_2_before_any_work(flags, config, tmp_path,
+                                                                   mcd_model, capsys):
+    report, log = tmp_path / "report.json", tmp_path / "log.csv"
+    args = ["eval-safety", "--model", str(mcd_model), *CELL_ARGS, *flags,
+            "--report", str(report), "--log", str(log)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg), *args]
+    assert run_cli(*args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: weathers lists ")
+    assert captured.out == ""  # no cell ran
+    assert not report.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("value", ["all", "clear,rain", ["clear", "rain"]],
+                         ids=["all", "comma-list", "json-list"])
+def test_a_config_weather_list_gives_the_cells_of_the_flag(value, tmp_path, mcd_model):
+    flag = value if isinstance(value, str) else ",".join(value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weathers": value}))
+    outs = []
+    for source, pre, weathers in (("flag", [], ["--weathers", flag]),
+                                  ("config", ["--config", str(cfg)], [])):
+        report, log = tmp_path / f"{source}.json", tmp_path / f"{source}.csv"
+        assert run_cli(*pre, "eval-safety", "--model", str(mcd_model), *CELL_ARGS, *weathers,
+                       "--log-episodes", "1", "--report", str(report), "--log", str(log)) == 0
+        outs.append((read_bytes(report), read_bytes(log)))
+    assert outs[0] == outs[1]
+    cells = json.loads(outs[0][0])["cells"]
+    want = list(cli.ALL_WEATHERS) if value == "all" else ["clear", "rain"]
+    assert [cell["weather"] for cell in cells] == want
 
 
 # A rate or step size that is not a finite positive number: (method, field,
