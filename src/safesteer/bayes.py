@@ -151,25 +151,29 @@ def extract_features_batch(mcd: McdPosterior, images: np.ndarray) -> np.ndarray:
     """Features of a stack of frames, one row per frame. More than
     EXTRACT_CHUNK frames run as ceil(n / EXTRACT_CHUNK) near-equal
     contiguous chunks of 16 to 32 frames, so peak memory does not grow
-    with n."""
+    with n. The chunks share one set of conv buffers, sized by the first
+    chunk (np.array_split makes it the largest) and dropped on return."""
     n = len(images)
     if n <= EXTRACT_CHUNK:
         return _extract_chunk(mcd, images)
     plan = mcd.spec.plan
     out = np.empty((n,) + plan.out_shapes[plan.feature_boundary - 1])
+    buffers: dict = {}
     start = 0
     for chunk in np.array_split(images, -(-n // EXTRACT_CHUNK)):
-        out[start:start + len(chunk)] = _extract_chunk(mcd, chunk)
+        out[start:start + len(chunk)] = _extract_chunk(mcd, chunk, buffers)
         start += len(chunk)
     return out
 
 
-def _extract_chunk(mcd: McdPosterior, images: np.ndarray) -> np.ndarray:
+def _extract_chunk(mcd: McdPosterior, images: np.ndarray,
+                   buffers: dict | None = None) -> np.ndarray:
     boundary = mcd.spec.plan.feature_boundary
     x = images_to_input(images)
     if x.shape[1:] != tuple(mcd.spec.input_shape):
         raise ValueError(f"image shape {x.shape[1:]} != {tuple(mcd.spec.input_shape)}")
-    return nn.forward_batch(mcd.spec, mcd.weights, x, stop_after=boundary - 1)
+    return nn.forward_batch(mcd.spec, mcd.weights, x, stop_after=boundary - 1,
+                            buffers=buffers)
 
 
 def head_weights(mcd: McdPosterior) -> np.ndarray:

@@ -57,11 +57,14 @@ class RunConfig:
     log_episodes: int = 3
 
     def validate(self) -> None:
-        for names, least in ((POSITIVE_COUNTS, 1), (NON_NEGATIVE_COUNTS, 0)):
+        # a seed is checked the way a count is
+        for names, least in ((POSITIVE_COUNTS, 1), (NON_NEGATIVE_COUNTS, 0), (("seed",), 0)):
             for name in names:
                 value = getattr(self, name)
                 if type(value) is not int or value < least:
                     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.scenario not in sim.SCENARIO_NAMES:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
         uncertainty.WarningThresholds(self.delta1, self.delta2, self.mi_threshold)
         sim.MonitorPolicy(self.slow_factor)
         if not self.eps > 0:  # a NaN fails too
@@ -301,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def shared(p):
         p.add_argument("--scenario", dest="scenario",
-                       choices=("straight_obstacle", "roundabout_first_exit"))
+                       choices=sim.SCENARIO_NAMES)
         p.add_argument("--seed", type=int, dest="seed")
 
     p = sub.add_parser("collect", help="record autopilot (image, label) pairs")
@@ -372,7 +375,7 @@ def main(argv=None) -> int:
     except io.InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:  # OSError: a bad input path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -236,23 +236,48 @@ def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarra
     return dx
 
 
+def _conv_buffers(buffers: dict, i: int, rows: int,
+                  kshape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The leading `rows` rows of conv layer i's im2col and output buffers,
+    made when the dict has none for the layer or too few rows."""
+    cols, out = buffers.get(i, (None, None))
+    if cols is None or len(cols) < rows:
+        cols, out = buffers[i] = np.empty((rows, kshape[0])), np.empty((rows, kshape[1]))
+    return cols[:rows], out[:rows]
+
+
 def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask | None,
              stop_after: int | None = None,
-             acts: list | None = None) -> np.ndarray:
+             acts: list | None = None,
+             buffers: dict | None = None) -> np.ndarray:
     """The forward loop behind forward_batch and nll_and_grad_batch. `w` is
     one flat weight vector, or (fc-only specs) a stack of them, one per row
     of `x`. With `acts`, appends what backprop needs from each layer: a
     conv's im2col matrix, the input of an fc (after dropout) or relu layer,
-    and the input shape of a flatten."""
+    and the input shape of a flatten. With `buffers` (and no `acts`), each
+    conv layer writes its im2col matrix and output into the dict's buffers,
+    and a relu over that output works in place; the result is copied out
+    when it would be a view of them."""
     plan = spec.plan
+    buffered = False  # x is a view of a buffer
     for i, layer in enumerate(spec.layers):
         if layer.kind == "conv":
             wsl, bsl = plan.slices[i]
+            kshape = plan.kernel_shapes[i]
             patches = _im2col(x, layer.kernel, layer.stride)
             b, ho, wo = patches.shape[:3]
-            saved = cols = patches.reshape(b * ho * wo, -1)  # the one copy
-            x = (cols @ w[wsl].reshape(plan.kernel_shapes[i])
-                 + w[bsl]).reshape(b, ho, wo, layer.filters)
+            kern = w[wsl].reshape(kshape)
+            if buffers is None:
+                saved = cols = patches.reshape(b * ho * wo, kshape[0])  # the one copy
+                x = cols @ kern + w[bsl]
+            else:
+                cols, x = _conv_buffers(buffers, i, b * ho * wo, kshape)
+                saved = cols
+                cols.reshape(patches.shape)[...] = patches
+                np.matmul(cols, kern, out=x)
+                x += w[bsl]
+                buffered = True
+            x = x.reshape(b, ho, wo, layer.filters)
         elif layer.kind == "fc":
             if mask is not None and i in mask:
                 x = x * mask[i] / (1.0 - layer.dropout_rate)
@@ -263,26 +288,33 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
             else:  # one weight row per input row
                 kern = w[:, wsl].reshape((w.shape[0],) + plan.kernel_shapes[i])
                 x = (x[:, None, :] @ kern)[:, 0, :] + w[:, bsl]
+            buffered = False
         elif layer.kind == "relu":
             saved = x
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x) if buffered else np.maximum(x, 0.0)
         else:  # flatten
             saved = x.shape
-            x = x.reshape(x.shape[0], -1)
+            x = x.reshape(x.shape[0], plan.out_shapes[i][0])
         if acts is not None:
             acts.append(saved)
         if i == stop_after:
             break
-    return x
+    return x.copy() if buffered else x
 
 
 def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
                   mask: DropoutMask | None = None,
-                  stop_after: int | None = None) -> np.ndarray:
+                  stop_after: int | None = None, *,
+                  buffers: dict | None = None) -> np.ndarray:
     """Batched forward pass; x has a leading batch axis. `w` is one flat
     weight vector shared by every row, or a (batch, param_count) stack
     that pairs weight row b with input row b (fc-only specs). With a mask,
-    dropped inputs are zeroed and survivors scaled by 1/(1-rate)."""
+    dropped inputs are zeroed and survivors scaled by 1/(1-rate).
+
+    `buffers` is a dict, empty at first, that the passes over the chunks of
+    one dataset share: their conv layers reuse the buffers kept there
+    instead of allocating their own. The returned array never shares memory
+    with them."""
     _check_mask(spec, mask, x.shape[0])
     if w.ndim != 1:
         if any(layer.kind == "conv" for layer in spec.layers):
@@ -290,7 +322,7 @@ def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
         if w.shape != (x.shape[0], spec.plan.param_count):
             raise ValueError(f"stacked weights have shape {w.shape}, expected "
                              f"({x.shape[0]}, {spec.plan.param_count})")
-    return _forward(spec, w, x, mask, stop_after)
+    return _forward(spec, w, x, mask, stop_after, buffers=buffers)
 
 
 def forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,

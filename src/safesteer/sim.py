@@ -179,13 +179,17 @@ def roundabout_scenario(weather: str = "clear",
                           weather=weather, disturbances=disturbances)
 
 
+_SCENARIOS = {"straight_obstacle": straight_obstacle_scenario,
+              "roundabout_first_exit": roundabout_scenario}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
+
 def scenario_by_name(kind: str, weather: str = "clear",
                      disturbances: Disturbances = Disturbances()) -> ScenarioConfig:
-    if kind == "straight_obstacle":
-        return straight_obstacle_scenario(weather, disturbances)
-    if kind == "roundabout_first_exit":
-        return roundabout_scenario(weather, disturbances)
-    raise ValueError(f"unknown scenario {kind!r}")
+    """The scenario named `kind`, one of SCENARIO_NAMES."""
+    if kind not in SCENARIO_NAMES:
+        raise ValueError(f"unknown scenario {kind!r}")
+    return _SCENARIOS[kind](weather, disturbances)
 
 
 def _pixel_rays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -212,6 +214,42 @@ def test_extraction_peak_memory_does_not_grow_with_the_dataset(n):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+# Traced bytes that one 100-frame dataset pass leaves behind, less its output's
+# bytes, in a fresh process: no earlier pass there can have made a buffer
+# that this one keeps.
+KEPT_BY_A_PASS = """
+import tracemalloc
+import numpy as np
+from safesteer import bayes, nn
+spec = nn.default_network_spec(20)
+mcd = bayes.McdPosterior(spec, nn.init_weights(spec, np.random.default_rng(0)))
+images = np.random.default_rng(9).integers(0, 256, (100, 48, 64)).astype(np.uint8)
+tracemalloc.start()
+before, _ = tracemalloc.get_traced_memory()
+feats = bayes.extract_features_batch(mcd, images)
+after, _ = tracemalloc.get_traced_memory()
+print(after - before - feats.nbytes)
+"""
+
+
+def test_a_dataset_pass_keeps_no_memory_and_leaves_earlier_results_alone():
+    proc = subprocess.run([sys.executable, "-c", KEPT_BY_A_PASS], capture_output=True,
+                          text=True, check=True)
+    # the conv buffers of the chunk loop are gone once the pass returns
+    assert int(proc.stdout) < 64 * 2 ** 10, proc.stdout
+    mcd = _mcd()
+    images = np.random.default_rng(9).integers(0, 256, (2, 100, 48, 64)).astype(np.uint8)
+    first = bayes.extract_features_batch(mcd, images[0])
+    kept = first.copy()
+    bayes.extract_features_batch(mcd, images[1])
+    assert first.tobytes() == kept.tobytes()
+
+
+def test_extracting_zero_frames_gives_zero_feature_rows():
+    got = bayes.extract_features_batch(_mcd(), np.zeros((0, 48, 64), dtype=np.uint8))
+    assert got.shape == (0, nn.FEATURE_DIM)
 
 
 # ---------------------------------------------------------------------------

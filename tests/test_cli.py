@@ -884,6 +884,62 @@ def test_a_count_below_its_least_value_is_a_configuration_error(
     assert not out.exists()
 
 
+def _refuse_to_load(path):
+    raise AssertionError(f"loaded {path}")
+
+
+@pytest.mark.parametrize("command", ["collect", "drive"])
+def test_an_unknown_scenario_exits_2_before_any_work(command, tmp_path, mcd_model, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(io, "load_model", _refuse_to_load)  # drive checks before loading
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "nowhere"}))
+    out = tmp_path / "out"
+    args = {"collect": ["collect", "--episodes", "1"],
+            "drive": ["drive", "--model", str(mcd_model)]}[command]
+    assert run_cli("--config", str(cfg), *args, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "configuration error: unknown scenario 'nowhere'\n"
+    assert not out.exists()
+
+
+# A seed that is negative or not an int, from the flag or a config file:
+# (flag args, config)
+SEED_CASES = ((["--seed", "-1"], None), ([], {"seed": -1}), ([], {"seed": "x"}),
+              ([], {"seed": 1.5}), ([], {"seed": True}))
+
+
+@pytest.mark.parametrize("flags,config", SEED_CASES, ids=[
+    "flag-negative", "config-negative", "config-string", "config-float", "config-true"])
+def test_a_seed_that_is_not_a_non_negative_int_exits_2_before_any_work(flags, config, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "out"
+    args = ["collect", "--episodes", "1", "--out", str(out), *flags]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg), *args]
+    assert run_cli(*args) == 2
+    value = config["seed"] if config else int(flags[1])
+    assert capsys.readouterr().err == (f"configuration error: seed must be an integer >= 0, "
+                                       f"got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["drive", "train"])
+def test_an_input_path_of_the_wrong_kind_is_one_error_line_and_exit_1(command, tmp_path,
+                                                                      capsys):
+    # drive --model names a directory, train --dataset a file
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = tmp_path / "out"
+    args = {"drive": ["drive", "--model", str(tmp_path)],
+            "train": ["train", "--method", "mcd", "--dataset", str(a_file)]}[command]
+    assert run_cli(*args, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run([sys.executable, "-m", "safesteer", "plan-samples",
                            "--theta", "0.1", "--gamma", "0.05"],

@@ -154,6 +154,48 @@ def test_forward_is_pure():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("stop_after", [5, 8], ids=["last-conv-relu", "features"])
+def test_passes_that_share_buffers_keep_the_first_result_and_the_unbuffered_bytes(stop_after):
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(6)
+    w = nn.init_weights(spec, rng) + 0.01 * rng.standard_normal(nn.param_count(spec))
+    first_x, second_x = rng.uniform(0, 1, (2, 20) + spec.input_shape)
+    buffers = {}
+    first = nn.forward_batch(spec, w, first_x, stop_after=stop_after, buffers=buffers)
+    kept = first.copy()
+    second = nn.forward_batch(spec, w, second_x[:13], stop_after=stop_after, buffers=buffers)
+    assert first.tobytes() == kept.tobytes()  # the second pass left it alone
+    assert sorted(buffers) == [i for i, l in enumerate(spec.layers) if l.kind == "conv"]
+    for got, x in ((first, first_x), (second, second_x[:13])):
+        assert got.tobytes() == nn.forward_batch(spec, w, x, stop_after=stop_after).tobytes()
+
+
+@pytest.mark.parametrize("stop_after", [0, 1, 4, 5, 6, 8, None],
+                         ids=["conv", "relu", "last-conv", "last-relu", "flatten", "fc-relu",
+                              "logits"])
+def test_a_buffered_pass_returns_no_view_of_its_buffers(stop_after):
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(7)
+    w = nn.init_weights(spec, rng)
+    x = rng.uniform(0, 1, (5,) + spec.input_shape)
+    buffers = {}
+    got = nn.forward_batch(spec, w, x, stop_after=stop_after, buffers=buffers)
+    assert buffers  # the conv layers did write into the dict
+    assert not any(np.shares_memory(got, a) for pair in buffers.values() for a in pair)
+    assert got.tobytes() == nn.forward_batch(spec, w, x, stop_after=stop_after).tobytes()
+
+
+@pytest.mark.parametrize("stop_after", [1, 6, 8, None])
+def test_a_pass_over_zero_frames_returns_an_empty_array(stop_after):
+    spec = nn.default_network_spec(20)
+    w = nn.init_weights(spec, np.random.default_rng(8))
+    i = len(spec.layers) - 1 if stop_after is None else stop_after
+    for buffers in (None, {}):
+        got = nn.forward_batch(spec, w, np.zeros((0,) + spec.input_shape),
+                               stop_after=stop_after, buffers=buffers)
+        assert got.shape == (0,) + spec.plan.out_shapes[i]
+
+
 def test_inverted_dropout_expectation_single_linear_layer():
     # averaging masked forwards over many masks approximates the mask-free
     # forward within 3 Monte Carlo standard errors per logit
