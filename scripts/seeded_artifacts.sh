@@ -2,8 +2,11 @@
 # Run one seeded collect -> train (mcd, vi, hmc) -> eval-safety -> drive
 # chain on both scenarios with the sources of the checkout SRC, writing every
 # artifact under OUT, and print "sha256  path" for each file, paths relative
-# to OUT. Each scenario is also collected at frame strides 1 and 3, for the
-# digests only, so that more of collect's kept-frame patterns are compared.
+# to OUT. Each scenario is also collected at frame strides 1 and 3, and its
+# MC-dropout network also trained at batch sizes 7 (a short last minibatch)
+# and 1000 (one minibatch per epoch), for the digests only, so that more of
+# collect's kept-frame patterns and of training's minibatch shapes are
+# compared.
 # Run it on two checkouts (a parent commit and a change) and diff the two
 # outputs: a change that keeps seeded artifacts byte-identical prints the
 # same lines. Digests depend on the NumPy and BLAS build, so compare only
@@ -36,6 +39,10 @@ for scenario in straight_obstacle roundabout_first_exit; do
     done
     run train --method mcd --dataset "$d/data" --epochs 2 --seed 1 \
         --out "$d/mcd.json"
+    for batch in 7 1000; do
+        run train --method mcd --dataset "$d/data" --epochs 2 --batch-size "$batch" --seed 1 \
+            --out "$d/mcd-batch$batch.json"
+    done
     run train --method vi --dataset "$d/data" --mcd-model "$d/mcd.json" \
         --vi-iterations 40 --seed 2 --out "$d/vi.json"
     run train --method hmc --dataset "$d/data" --mcd-model "$d/mcd.json" \

@@ -115,22 +115,39 @@ def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
               batch_size: int = 16, lr: float = 1e-4,
               rng: np.random.Generator | None = None) -> McdPosterior:
     """Train the full network with dropout active (fresh masks per example)
-    under ADAM."""
+    under ADAM. Each minibatch is scaled into one input buffer, and every
+    minibatch's forward pass, backprop and ADAM update share one dict of
+    buffers, sized by the first minibatch (the largest) and dropped on
+    return, so memory does not grow with the dataset. Bad arguments raise
+    ValueError before any work."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    x_all = images_to_input(dataset.images)
+    if type(epochs) is not int or epochs < 0:
+        raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
+    if type(batch_size) is not int or batch_size < 1:
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    if not 0.0 < lr < math.inf:  # a NaN fails too
+        raise ValueError(f"lr must be finite and positive, got {lr!r}")
+    _check_image_shape(spec, dataset.images.shape[1:] + (1,))
     y_all = np.asarray(dataset.labels, dtype=np.int64)
+    nn._check_labels(spec, y_all)
+    rng = rng if rng is not None else np.random.default_rng(0)
     w = nn.init_weights(spec, rng)
-    adam = nn.AdamState.fresh(w.size, lr=lr)
+    m, v = np.zeros(w.size), np.zeros(w.size)
     n = len(dataset)
+    x_buf = np.empty((min(batch_size, n),) + spec.input_shape)
+    buffers: dict = {}
+    t = 0
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
+            x = np.divide(dataset.images[idx, ..., None], 255.0, out=x_buf[:len(idx)],
+                          dtype=np.float64)
             masks = nn.sample_dropout_mask(spec, rng, batch=len(idx))
-            _, grad = nn.nll_and_grad_batch(spec, w, x_all[idx], y_all[idx], masks)
-            w, adam = nn.adam_step(adam, w, grad)
+            _, grad = nn.nll_and_grad_batch(spec, w, x, y_all[idx], masks, buffers=buffers)
+            t += 1
+            nn._adam_update(w, grad, m, v, t, lr, buffers)
     return McdPosterior(spec, w)
 
 
@@ -170,10 +187,14 @@ def _extract_chunk(mcd: McdPosterior, images: np.ndarray,
                    buffers: dict | None = None) -> np.ndarray:
     boundary = mcd.spec.plan.feature_boundary
     x = images_to_input(images)
-    if x.shape[1:] != tuple(mcd.spec.input_shape):
-        raise ValueError(f"image shape {x.shape[1:]} != {tuple(mcd.spec.input_shape)}")
+    _check_image_shape(mcd.spec, x.shape[1:])
     return nn.forward_batch(mcd.spec, mcd.weights, x, stop_after=boundary - 1,
                             buffers=buffers)
+
+
+def _check_image_shape(spec: nn.NetworkSpec, shape: tuple[int, ...]) -> None:
+    if shape != spec.input_shape:
+        raise ValueError(f"image shape {shape} != {spec.input_shape}")
 
 
 def head_weights(mcd: McdPosterior) -> np.ndarray:

@@ -222,11 +222,13 @@ def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     return patches
 
 
-def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarray:
-    b, h, w, c = x_shape
+def _col2im(dcols: np.ndarray, dx: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Overwrite dx, the (b, h, w, c) input gradient, with the sum of the
+    patch gradients dcols, (b, ho, wo, k*k*c), over the patches; returns dx."""
+    _, h, w, c = dx.shape
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    dx.fill(0.0)
     idx = 0
     for di in range(k):
         for dj in range(k):
@@ -236,14 +238,17 @@ def _col2im(dcols: np.ndarray, x_shape: Shape, k: int, stride: int) -> np.ndarra
     return dx
 
 
-def _conv_buffers(buffers: dict, i: int, rows: int,
-                  kshape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The leading `rows` rows of conv layer i's im2col and output buffers,
-    made when the dict has none for the layer or too few rows."""
-    cols, out = buffers.get(i, (None, None))
-    if cols is None or len(cols) < rows:
-        cols, out = buffers[i] = np.empty((rows, kshape[0])), np.empty((rows, kshape[1]))
-    return cols[:rows], out[:rows]
+def _buffers(buffers: dict | None, key, *shapes: Shape) -> tuple[np.ndarray, ...]:
+    """Leading-row views, one per shape, of the arrays kept in the dict
+    under `key`, made when it has none or the first has too few rows (the
+    row counts of one key grow together); fresh arrays when there is no
+    dict."""
+    if buffers is None:
+        return tuple(np.empty(shape) for shape in shapes)
+    kept = buffers.get(key)
+    if kept is None or len(kept[0]) < shapes[0][0]:
+        kept = buffers[key] = tuple(np.empty(shape) for shape in shapes)
+    return tuple(a[:shape[0]] for a, shape in zip(kept, shapes))
 
 
 def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask | None,
@@ -254,10 +259,11 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
     one flat weight vector, or (fc-only specs) a stack of them, one per row
     of `x`. With `acts`, appends what backprop needs from each layer: a
     conv's im2col matrix, the input of an fc (after dropout) or relu layer,
-    and the input shape of a flatten. With `buffers` (and no `acts`), each
-    conv layer writes its im2col matrix and output into the dict's buffers,
-    and a relu over that output works in place; the result is copied out
-    when it would be a view of them."""
+    and the input shape of a flatten. With `buffers`, each conv layer
+    writes its im2col matrix and output into the dict's buffers, and a
+    relu over that output works in place, so `acts` holds the relu's
+    output, whose `> 0` mask is its input's; the result is copied out when
+    it would be a view of them."""
     plan = spec.plan
     buffered = False  # x is a view of a buffer
     for i, layer in enumerate(spec.layers):
@@ -271,7 +277,8 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
                 saved = cols = patches.reshape(b * ho * wo, kshape[0])  # the one copy
                 x = cols @ kern + w[bsl]
             else:
-                cols, x = _conv_buffers(buffers, i, b * ho * wo, kshape)
+                rows = b * ho * wo
+                cols, x = _buffers(buffers, i, (rows, kshape[0]), (rows, kshape[1]))
                 saved = cols
                 cols.reshape(patches.shape)[...] = patches
                 np.matmul(cols, kern, out=x)
@@ -360,25 +367,36 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _check_labels(spec: NetworkSpec, labels: np.ndarray) -> None:
+    if labels.size and not (labels.min() >= 0 and labels.max() < spec.num_classes):
+        bad = labels[(labels < 0) | (labels >= spec.num_classes)][0]
+        raise ValueError(f"label {bad} out of range for {spec.num_classes} classes")
+
+
 def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
                        labels: np.ndarray, mask: DropoutMask | None = None,
-                       mean: bool = True) -> tuple[float, np.ndarray]:
+                       mean: bool = True, *,
+                       buffers: dict | None = None) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy over a batch and its exact weight gradient.
 
     The loss here is the floor-free -log softmax(logits)[label] (computed
     via logsumexp), summed or averaged over the batch. A label outside
     [0, num_classes) raises ValueError.
+
+    `buffers` is a dict, empty at first, that the minibatches of one
+    training run share: the forward pass keeps its conv arrays there as in
+    forward_batch, and backprop its conv input gradients, so a minibatch no
+    larger than the first allocates none of them. The returned gradient
+    never shares memory with them.
     """
     if w.ndim != 1:
         raise ValueError("nll_and_grad_batch takes one flat weight vector")
-    if labels.size and not (labels.min() >= 0 and labels.max() < spec.num_classes):
-        bad = labels[(labels < 0) | (labels >= spec.num_classes)][0]
-        raise ValueError(f"label {bad} out of range for {spec.num_classes} classes")
+    _check_labels(spec, labels)
     batch = x.shape[0]
     _check_mask(spec, mask, batch)
     plan = spec.plan
     acts: list = []
-    logp = _log_softmax(_forward(spec, w, x, mask, acts=acts))
+    logp = _log_softmax(_forward(spec, w, x, mask, acts=acts, buffers=buffers))
     rows = np.arange(batch)
     loss = float(-logp[rows, labels].sum())
     dlogits = np.exp(logp)
@@ -388,33 +406,39 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
         dlogits /= batch
 
     grad = np.zeros_like(w)
-    delta = dlogits
+    delta = dlogits  # every delta below is this call's own, so relu works in place
     first = plan.first_weighted  # nothing reads the input gradient below it
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         if layer.kind == "conv":
             wsl, bsl = plan.slices[i]
+            kshape = plan.kernel_shapes[i]
             cols = acts[i]  # (batch*ho*wo, k*k*c)
             ho, wo, _ = plan.out_shapes[i]
-            dmat = delta.reshape(batch * ho * wo, layer.filters)
+            dmat = delta.reshape(len(cols), layer.filters)
             grad[bsl] = dmat.sum(axis=0)
-            grad[wsl] = (cols.T @ dmat).ravel()
+            np.matmul(cols.T, dmat, out=grad[wsl].reshape(kshape))
             if i == first:
                 break
-            dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(
-                batch, ho, wo, cols.shape[1])
-            delta = _col2im(dcols, (batch,) + plan.in_shapes[i], layer.kernel, layer.stride)
+            # nothing reads the im2col matrix again, so the patch gradients
+            # overwrite it unless it is a view of the input
+            dcols = cols if cols.flags.writeable else np.empty_like(cols)
+            np.matmul(dmat, w[wsl].reshape(kshape).T, out=dcols)
+            dx, = _buffers(buffers, ("backprop", i), (batch,) + plan.in_shapes[i])
+            delta = _col2im(dcols.reshape(batch, ho, wo, kshape[0]), dx,
+                            layer.kernel, layer.stride)
         elif layer.kind == "fc":
             wsl, bsl = plan.slices[i]
+            kshape = plan.kernel_shapes[i]
             grad[bsl] = delta.sum(axis=0)
-            grad[wsl] = (acts[i].T @ delta).ravel()
+            np.matmul(acts[i].T, delta, out=grad[wsl].reshape(kshape))
             if i == first:
                 break
-            delta = delta @ w[wsl].reshape(plan.kernel_shapes[i]).T
+            delta = delta @ w[wsl].reshape(kshape).T
             if mask is not None and i in mask:
                 delta = delta * mask[i] / (1.0 - layer.dropout_rate)
         elif layer.kind == "relu":
-            delta = delta * (acts[i] > 0.0)
+            delta *= acts[i] > 0.0
         else:
             delta = delta.reshape(acts[i])
     return loss, grad
@@ -451,15 +475,30 @@ def adam_step(state: AdamState, w: np.ndarray,
     """One bias-corrected ADAM update; returns the new weights and state."""
     if w.shape != grad.shape or w.shape != state.m.shape:
         raise ValueError("weight/gradient/state lengths disagree")
+    t = state.step + 1
+    w2, m, v = w.astype(np.float64), state.m.copy(), state.v.copy()
+    _adam_update(w2, grad, m, v, t, state.lr)
+    return w2, replace(state, m=m, v=v, step=t)
+
+
+def _adam_update(w: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 t: int, lr: float, buffers: dict | None = None) -> None:
+    """ADAM's t-th update (t from 1), in place on w and the moments m and v.
+    Its two temporaries are kept in `buffers` when given."""
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    mhat = m / (1.0 - ADAM_BETA1 ** t)
-    vhat = v / (1.0 - ADAM_BETA2 ** t)
-    w2 = w - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return w2, replace(state, m=m, v=v, step=t)
+    step, denom = _buffers(buffers, "adam", w.shape, w.shape)
+    m *= ADAM_BETA1
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(grad, 1.0 - ADAM_BETA2, out=step), grad, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)  # bias-corrected m
+    step *= lr
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)  # bias-corrected v
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    w -= step
 
 
 # Default architecture: a fixed convolutional feature extractor ending in a

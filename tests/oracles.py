@@ -17,7 +17,11 @@ The whole-dataset references `extract_features_batch_reference` and
 `training_accuracy_reference` (one pass over every frame, before passes
 ran in fixed chunks) and `nll_and_grad_batch_reference` (backprop down to
 the input, before it stopped at the lowest weighted layer) are the
-package's bodies as they were, calling its forward loop. `save_model_v2`
+package's bodies as they were, calling its forward loop.
+`train_mcd_reference` is MC-dropout training as it was before minibatches
+ran through kept buffers: it converts the whole dataset to one float input
+array and takes each step with `nll_and_grad_batch_reference` and
+`adam_step_reference`, ADAM as whole-array expressions. `save_model_v2`
 is the model writer of format version 2 (one JSON document with base64
 arrays), kept to check that such a file is refused with a hint.
 `collect_dataset_reference` is the package's dataset collection as it was
@@ -414,7 +418,8 @@ def nll_and_grad_batch_reference(spec, w, x, labels, mask=None, mean=True):
             grad[wsl] = (cols.T @ dmat).ravel()
             dcols = (dmat @ w[wsl].reshape(plan.kernel_shapes[i]).T).reshape(
                 batch, ho, wo, cols.shape[1])
-            delta = _col2im(dcols, (batch,) + plan.in_shapes[i], layer.kernel, layer.stride)
+            delta = _col2im(dcols, np.empty((batch,) + plan.in_shapes[i]), layer.kernel,
+                            layer.stride)
         elif layer.kind == "fc":
             wsl, bsl = plan.slices[i]
             grad[bsl] = delta.sum(axis=0)
@@ -427,6 +432,46 @@ def nll_and_grad_batch_reference(spec, w, x, labels, mask=None, mean=True):
         else:
             delta = delta.reshape(acts[i])
     return loss, grad
+
+
+def adam_step_reference(state, w, grad):
+    """One bias-corrected ADAM update as whole-array expressions; returns
+    the new weights and state."""
+    from safesteer.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient")
+    t = state.step + 1
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    w2 = w - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    return w2, dataclasses.replace(state, m=m, v=v, step=t)
+
+
+def train_mcd_reference(dataset, spec, epochs=25, batch_size=16, lr=1e-4, rng=None):
+    """MC-dropout training over a whole-dataset float input array, with
+    the backprop and ADAM references above."""
+    from safesteer import nn
+    from safesteer.datasets import images_to_input
+
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    x_all = images_to_input(dataset.images)
+    y_all = np.asarray(dataset.labels, dtype=np.int64)
+    w = nn.init_weights(spec, rng)
+    adam = nn.AdamState.fresh(w.size, lr=lr)
+    n = len(dataset)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            masks = nn.sample_dropout_mask(spec, rng, batch=len(idx))
+            _, grad = nll_and_grad_batch_reference(spec, w, x_all[idx], y_all[idx], masks)
+            w, adam = adam_step_reference(adam, w, grad)
+    return bayes.McdPosterior(spec, w)
 
 
 def save_model_v2(model, path):

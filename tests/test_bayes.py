@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,8 +11,8 @@ from safesteer import bayes, cli, nn, sim, uncertainty
 from safesteer.datasets import FeatureDataset, ImageDataset, image_to_input, images_to_input
 from oracles import (central_diff, extract_features_batch_reference, leapfrog_harmonic,
                      max_rel_error, naive_forward, sample_weights_hmc_reference,
-                     sample_weights_per_row, training_accuracy_reference,
-                     training_logits_reference)
+                     sample_weights_per_row, train_mcd_reference,
+                     training_accuracy_reference, training_logits_reference)
 
 PRIOR = bayes.Prior(1.0)
 
@@ -105,6 +106,113 @@ def test_train_mcd_rejects_empty():
     with pytest.raises(ValueError):
         bayes.train_mcd(ImageDataset(np.zeros((0, 48, 64), np.uint8),
                                      np.zeros(0, np.int64)), spec)
+
+
+def random_image_ds(n, seed=0, k=20):
+    rng = np.random.default_rng(seed)
+    return ImageDataset(rng.integers(0, 256, (n, 48, 64)).astype(np.uint8),
+                        rng.integers(0, k, n))
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 16, 24], ids=["1", "7", "16", "n+1"])
+def test_train_mcd_streams_minibatches_through_one_dict_and_keeps_the_weight_bytes(
+        batch_size, monkeypatch):
+    ds = random_image_ds(23, seed=batch_size)
+    spec = nn.default_network_spec(20)
+    seen = []
+    original = nn.nll_and_grad_batch
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs.get("buffers"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "nll_and_grad_batch", recording)
+    got = bayes.train_mcd(ds, spec, epochs=2, batch_size=batch_size, lr=1e-3,
+                          rng=np.random.default_rng(4))
+    assert len(seen) == 2 * -(-23 // batch_size)
+    assert isinstance(seen[0], dict) and all(b is seen[0] for b in seen)
+    want = train_mcd_reference(ds, spec, epochs=2, batch_size=batch_size, lr=1e-3,
+                               rng=np.random.default_rng(4))
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+def _traced_rises(monkeypatch, name):
+    """Record, for each call of nn.<name>, how far tracemalloc's peak rose
+    above the traced memory at the call."""
+    rises = []
+    original = getattr(nn, name)
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = original(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(nn, name, traced)
+    return rises
+
+
+def test_a_training_step_after_the_first_allocates_no_large_array(monkeypatch):
+    """Once the first minibatch has sized the buffers, a gradient pass
+    needs about 0.23 MB besides the gradient it returns (11.1 MB when each
+    pass made its own arrays, 4.9 MB with only the forward pass buffered),
+    and an ADAM update about 36 KB."""
+    spec = nn.default_network_spec(20)
+    grads = _traced_rises(monkeypatch, "nll_and_grad_batch")
+    updates = _traced_rises(monkeypatch, "_adam_update")
+    tracemalloc.start()
+    try:
+        bayes.train_mcd(random_image_ds(302), spec, epochs=1, rng=np.random.default_rng(1))
+    finally:
+        tracemalloc.stop()
+    assert len(grads) == len(updates) == 19
+    transient = max(grads[1:]) - 8 * nn.param_count(spec)  # less the returned gradient
+    assert transient < 512 * 2 ** 10, transient
+    assert max(updates[1:]) < 128 * 2 ** 10, max(updates[1:])
+
+
+def test_training_peak_memory_does_not_grow_with_the_dataset():
+    peaks = []
+    for n in (256, 1024):
+        ds = random_image_ds(n)
+        tracemalloc.start()
+        try:
+            bayes.train_mcd(ds, nn.default_network_spec(20), epochs=1,
+                            rng=np.random.default_rng(2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 64 * 2 ** 10, peaks
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"epochs": -3}, "epochs must be an integer >= 0"),
+    ({"epochs": 1.0}, "epochs must be an integer >= 0"),
+    ({"batch_size": -1}, "batch_size must be an integer >= 1"),
+    ({"batch_size": 0}, "batch_size must be an integer >= 1"),
+    ({"batch_size": True}, "batch_size must be an integer >= 1"),
+    ({"lr": -1.0}, "lr must be finite and positive"),
+    ({"lr": 0.0}, "lr must be finite and positive"),
+    ({"lr": math.nan}, "lr must be finite and positive"),
+    ({"lr": math.inf}, "lr must be finite and positive"),
+    ({"images": (40, 64)}, re.escape("image shape (40, 64, 1) != (48, 64, 1)")),
+    ({"label": -1, "epochs": 0}, "label -1 out of range for 20 classes"),
+    ({"label": 20}, "label 20 out of range for 20 classes"),
+])
+def test_train_mcd_rejects_bad_arguments_before_any_work(kwargs, match):
+    kwargs = dict(kwargs)
+    ds = random_image_ds(9)
+    images = np.zeros((9,) + kwargs.pop("images"), np.uint8) if "images" in kwargs else ds.images
+    labels = ds.labels.copy()
+    if "label" in kwargs:
+        labels[5] = kwargs.pop("label")
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        bayes.train_mcd(ImageDataset(images, labels), nn.default_network_spec(20),
+                        **{"epochs": 1, **kwargs}, rng=rng)
+    assert rng.bit_generator.state == state  # not even the weights were drawn
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from safesteer import bayes, io, nn, uncertainty
-from oracles import (central_diff, im2col_reference, max_rel_error, naive_forward,
-                     nll_and_grad_batch_reference)
+from oracles import (adam_step_reference, central_diff, im2col_reference, max_rel_error,
+                     naive_forward, nll_and_grad_batch_reference)
 
 
 def small_spec(num_classes=4):
@@ -340,7 +340,9 @@ def test_backward_matches_finite_differences_with_mask():
 
 def _grad_cases():
     """(spec, weights, inputs, labels, mask): the default network with
-    dropout masks, its head, and a spec whose first layer is a flatten."""
+    dropout masks, its head, a spec whose first layer is a flatten, and one
+    whose second conv has a 1x1 kernel, so its im2col matrix is a
+    read-only view of its input."""
     rng = np.random.default_rng(21)
     spec = nn.default_network_spec(20)
     w = nn.init_weights(spec, rng) + 0.01 * rng.standard_normal(nn.param_count(spec))
@@ -353,6 +355,10 @@ def _grad_cases():
     fw = rng.standard_normal(nn.param_count(flat))
     yield flat, fw, rng.standard_normal((9, 3, 4, 2)), rng.integers(0, 5, 9), \
         nn.sample_dropout_mask(flat, rng, batch=9)
+    pointwise = nn.NetworkSpec((nn.conv(3, 3, 1), nn.relu(), nn.conv(4, 1, 1), nn.relu(),
+                                nn.flatten(), nn.fc(5)), (6, 5, 2), 5)
+    pw = rng.standard_normal(nn.param_count(pointwise))
+    yield pointwise, pw, rng.standard_normal((7, 6, 5, 2)), rng.integers(0, 5, 7), None
 
 
 @pytest.mark.parametrize("mean", [True, False])
@@ -365,6 +371,27 @@ def test_backprop_that_stops_at_the_first_weighted_layer_keeps_the_gradient_byte
     assert nn.default_network_spec(20).plan.first_weighted == 0
     assert nn.default_network_spec(20).plan.head_spec.plan.first_weighted == 0
     assert nn.NetworkSpec((nn.flatten(), nn.fc(5)), (5,), 5).plan.first_weighted == 1
+
+
+def test_minibatches_that_share_buffers_keep_the_loss_and_gradient_bytes():
+    spec = nn.default_network_spec(20)
+    rng = np.random.default_rng(22)
+    w = nn.init_weights(spec, rng) + 0.01 * rng.standard_normal(nn.param_count(spec))
+    buffers = {}
+    kept = []
+    for batch in (16, 5, 16):
+        x = rng.random((batch,) + spec.input_shape)
+        labels = rng.integers(0, 20, batch)
+        mask = nn.sample_dropout_mask(spec, rng, batch=batch)
+        loss, grad = nn.nll_and_grad_batch(spec, w, x, labels, mask, buffers=buffers)
+        want_loss, want = nn.nll_and_grad_batch(spec, w, x, labels, mask)
+        ref_loss, ref = nll_and_grad_batch_reference(spec, w, x, labels, mask)
+        assert float(loss).hex() == float(want_loss).hex() == float(ref_loss).hex()
+        assert grad.tobytes() == want.tobytes() == ref.tobytes()
+        assert not any(np.shares_memory(grad, a) for kept_arrays in buffers.values()
+                       for a in kept_arrays)
+        kept.append((grad, grad.copy()))
+    assert all(g.tobytes() == copy.tobytes() for g, copy in kept)  # later calls left them alone
 
 
 def test_backward_bias_gradient_closed_form():
@@ -411,6 +438,22 @@ def test_adam_rejects_nonfinite_gradient():
     state = nn.AdamState.fresh(2)
     with pytest.raises(ValueError):
         nn.adam_step(state, np.zeros(2), np.array([np.nan, 0.0]))
+
+
+def test_adam_steps_keep_the_bytes_of_whole_array_expressions():
+    rng = np.random.default_rng(12)
+    w = want_w = rng.standard_normal(50)
+    state = want_state = nn.AdamState.fresh(50, lr=3e-3)
+    for _ in range(5):
+        g = rng.standard_normal(50)
+        inputs = (w, state.m, state.v)
+        copies = [a.copy() for a in inputs]
+        w, state = nn.adam_step(state, w, g)
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(inputs, copies))  # pure
+        want_w, want_state = adam_step_reference(want_state, want_w, g)
+        for got, want in ((w, want_w), (state.m, want_state.m), (state.v, want_state.v)):
+            assert got.tobytes() == want.tobytes()
+        assert state.step == want_state.step
 
 
 def test_adam_converges_on_quadratic():
