@@ -2,10 +2,11 @@
 # Run one seeded collect -> train (mcd, vi, hmc) -> eval-safety -> drive
 # chain on both scenarios with the sources of the checkout SRC, writing every
 # artifact under OUT, and print "sha256  path" for each file, paths relative
-# to OUT. Each scenario is also collected at frame strides 1 and 3, and its
+# to OUT. Each scenario is also collected at frame strides 1 and 3, its
 # MC-dropout network also trained at batch sizes 7 (a short last minibatch)
-# and 1000 (one minibatch per epoch), for the digests only, so that more of
-# collect's kept-frame patterns and of training's minibatch shapes are
+# and 1000 (one minibatch per epoch), and its HMC chain also started from the
+# VI mean (--vi-model), for the digests only, so that more of collect's
+# kept-frame patterns, of training's minibatch shapes and of the VI fit are
 # compared.
 # Run it on two checkouts (a parent commit and a change) and diff the two
 # outputs: a change that keeps seeded artifacts byte-identical prints the
@@ -48,6 +49,9 @@ for scenario in straight_obstacle roundabout_first_exit; do
     run train --method hmc --dataset "$d/data" --mcd-model "$d/mcd.json" \
         --hmc-burn-in 5 --hmc-samples 8 --hmc-thin 1 --hmc-step-size 0.002 --seed 3 \
         --out "$d/hmc.json"
+    run train --method hmc --dataset "$d/data" --mcd-model "$d/mcd.json" --vi-model "$d/vi.json" \
+        --hmc-burn-in 5 --hmc-samples 8 --hmc-thin 1 --hmc-step-size 0.002 --seed 3 \
+        --out "$d/hmc-from-vi.json"
     for m in mcd vi hmc; do
         run eval-safety --scenario "$scenario" --model "$d/$m.json" --theta 0.25 --gamma 0.2 \
             --weathers clear,rain --with-monitor --jobs 2 --log-episodes 3 --seed 5 \

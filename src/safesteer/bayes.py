@@ -82,6 +82,12 @@ class HmcPosterior:
 Posterior = McdPosterior | ViPosterior | HmcPosterior
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """A count is an int (not a bool) of at least `least`."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ViConfig:
     iterations: int = 2000
@@ -90,8 +96,8 @@ class ViConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0 or self.mc_samples < 1:
-            raise ValueError("counts must be positive")
+        _check_count("iterations", self.iterations, 0)
+        _check_count("mc_samples", self.mc_samples, 1)
         if not 0.0 < self.lr < math.inf:  # a NaN fails too
             raise ValueError(f"VI lr must be finite and positive, got {self.lr!r}")
 
@@ -105,27 +111,24 @@ class HmcConfig:
     thin: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.step_size < math.inf or self.leapfrog_steps < 1:  # NaN fails too
-            raise ValueError("step size must be finite and positive, and leapfrog_steps >= 1")
-        if self.burn_in < 0 or self.samples < 1 or self.thin < 1:
-            raise ValueError("bad chain counts")
+        if not 0.0 < self.step_size < math.inf:  # a NaN fails too
+            raise ValueError(f"step size must be finite and positive, got {self.step_size!r}")
+        for name, least in (("leapfrog_steps", 1), ("burn_in", 0), ("samples", 1), ("thin", 1)):
+            _check_count(name, getattr(self, name), least)
 
 
 def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
               batch_size: int = 16, lr: float = 1e-4,
               rng: np.random.Generator | None = None) -> McdPosterior:
     """Train the full network with dropout active (fresh masks per example)
-    under ADAM. Each minibatch is scaled into one input buffer, and every
-    minibatch's forward pass, backprop and ADAM update share one dict of
-    buffers, sized by the first minibatch (the largest) and dropped on
-    return, so memory does not grow with the dataset. Bad arguments raise
-    ValueError before any work."""
+    under ADAM. One dict of buffers per call, sized by the first minibatch
+    (the largest) and dropped on return, holds each minibatch's scaled
+    input, conv arrays and ADAM temporaries, so memory does not grow with
+    the dataset. Bad arguments raise ValueError before any work."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    if type(epochs) is not int or epochs < 0:
-        raise ValueError(f"epochs must be an integer >= 0, got {epochs!r}")
-    if type(batch_size) is not int or batch_size < 1:
-        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+    _check_count("epochs", epochs, 0)
+    _check_count("batch_size", batch_size, 1)
     if not 0.0 < lr < math.inf:  # a NaN fails too
         raise ValueError(f"lr must be finite and positive, got {lr!r}")
     _check_image_shape(spec, dataset.images.shape[1:] + (1,))
@@ -135,15 +138,14 @@ def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
     w = nn.init_weights(spec, rng)
     m, v = np.zeros(w.size), np.zeros(w.size)
     n = len(dataset)
-    x_buf = np.empty((min(batch_size, n),) + spec.input_shape)
     buffers: dict = {}
     t = 0
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            x = np.divide(dataset.images[idx, ..., None], 255.0, out=x_buf[:len(idx)],
-                          dtype=np.float64)
+            x, = nn._buffers(buffers, "input", (len(idx),) + spec.input_shape)
+            np.divide(dataset.images[idx, ..., None], 255.0, out=x, dtype=np.float64)
             masks = nn.sample_dropout_mask(spec, rng, batch=len(idx))
             _, grad = nn.nll_and_grad_batch(spec, w, x, y_all[idx], masks, buffers=buffers)
             t += 1
@@ -276,7 +278,7 @@ def fit_mean_field(loglik_fn, dim: int, prior_sigma: np.ndarray, cfg: ViConfig,
     mu = np.zeros(dim) if init_mu is None else np.asarray(init_mu, dtype=np.float64).copy()
     rho = np.log(prior_sigma).copy()
     params = np.concatenate([mu, rho])
-    adam = nn.AdamState.fresh(params.size, lr=cfg.lr)
+    m, v = np.zeros(params.size), np.zeros(params.size)
     trace = np.empty(cfg.iterations)
     tail_from = cfg.iterations - max(cfg.iterations // 4, 1)
     tail_sum = np.zeros_like(params)
@@ -285,7 +287,7 @@ def fit_mean_field(loglik_fn, dim: int, prior_sigma: np.ndarray, cfg: ViConfig,
         gm, gr, trace[it] = _elbo_estimate(loglik_fn, params[:dim], params[dim:],
                                            prior_sigma, rng, cfg.mc_samples)
         # ascent: ADAM minimizes, so feed the negative gradient
-        params, adam = nn.adam_step(adam, params, -np.concatenate([gm, gr]))
+        nn._adam_update(params, -np.concatenate([gm, gr]), m, v, it + 1, cfg.lr)
         if it >= tail_from:
             tail_sum += params
             tail_n += 1

@@ -238,17 +238,18 @@ def _col2im(dcols: np.ndarray, dx: np.ndarray, k: int, stride: int) -> np.ndarra
     return dx
 
 
-def _buffers(buffers: dict | None, key, *shapes: Shape) -> tuple[np.ndarray, ...]:
+def _buffers(buffers: dict | None, key, *shapes: Shape) -> list[np.ndarray]:
     """Leading-row views, one per shape, of the arrays kept in the dict
-    under `key`, made when it has none or the first has too few rows (the
-    row counts of one key grow together); fresh arrays when there is no
-    dict."""
-    if buffers is None:
-        return tuple(np.empty(shape) for shape in shapes)
+    under `key`, made when it has none, or one has too few rows or another
+    row shape (a dict that passes of two specs share); fresh arrays when
+    there is no dict."""
+    if buffers is None:  # a list: tuple(generator) here made page faults in pool workers
+        return [np.empty(shape) for shape in shapes]
     kept = buffers.get(key)
-    if kept is None or len(kept[0]) < shapes[0][0]:
-        kept = buffers[key] = tuple(np.empty(shape) for shape in shapes)
-    return tuple(a[:shape[0]] for a, shape in zip(kept, shapes))
+    if kept is None or any(len(a) < s[0] or a.shape[1:] != s[1:]
+                           for a, s in zip(kept, shapes)):
+        kept = buffers[key] = [np.empty(shape) for shape in shapes]
+    return [a[:shape[0]] for a, shape in zip(kept, shapes)]
 
 
 def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask | None,
@@ -259,32 +260,26 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
     one flat weight vector, or (fc-only specs) a stack of them, one per row
     of `x`. With `acts`, appends what backprop needs from each layer: a
     conv's im2col matrix, the input of an fc (after dropout) or relu layer,
-    and the input shape of a flatten. With `buffers`, each conv layer
-    writes its im2col matrix and output into the dict's buffers, and a
-    relu over that output works in place, so `acts` holds the relu's
-    output, whose `> 0` mask is its input's; the result is copied out when
-    it would be a view of them."""
+    and the input shape of a flatten. Each conv layer writes its im2col
+    matrix and output into `_buffers(buffers, i, ...)`, so they belong to
+    the pass: a relu over them works in place, and `acts` holds the relu's
+    output, whose `> 0` mask is its input's. The result is copied out only
+    when it would be a view of the caller's dict."""
     plan = spec.plan
-    buffered = False  # x is a view of a buffer
+    conv_out = False  # x is a conv layer's output, or a view of it
     for i, layer in enumerate(spec.layers):
         if layer.kind == "conv":
             wsl, bsl = plan.slices[i]
             kshape = plan.kernel_shapes[i]
             patches = _im2col(x, layer.kernel, layer.stride)
             b, ho, wo = patches.shape[:3]
-            kern = w[wsl].reshape(kshape)
-            if buffers is None:
-                saved = cols = patches.reshape(b * ho * wo, kshape[0])  # the one copy
-                x = cols @ kern + w[bsl]
-            else:
-                rows = b * ho * wo
-                cols, x = _buffers(buffers, i, (rows, kshape[0]), (rows, kshape[1]))
-                saved = cols
-                cols.reshape(patches.shape)[...] = patches
-                np.matmul(cols, kern, out=x)
-                x += w[bsl]
-                buffered = True
+            rows = b * ho * wo
+            saved, x = _buffers(buffers, i, (rows, kshape[0]), (rows, kshape[1]))
+            saved.reshape(patches.shape)[...] = patches  # the one copy
+            np.matmul(saved, w[wsl].reshape(kshape), out=x)
+            x += w[bsl]
             x = x.reshape(b, ho, wo, layer.filters)
+            conv_out = True
         elif layer.kind == "fc":
             if mask is not None and i in mask:
                 x = x * mask[i] / (1.0 - layer.dropout_rate)
@@ -295,10 +290,10 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
             else:  # one weight row per input row
                 kern = w[:, wsl].reshape((w.shape[0],) + plan.kernel_shapes[i])
                 x = (x[:, None, :] @ kern)[:, 0, :] + w[:, bsl]
-            buffered = False
+            conv_out = False
         elif layer.kind == "relu":
             saved = x
-            x = np.maximum(x, 0.0, out=x) if buffered else np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=x) if conv_out else np.maximum(x, 0.0)
         else:  # flatten
             saved = x.shape
             x = x.reshape(x.shape[0], plan.out_shapes[i][0])
@@ -306,7 +301,7 @@ def _forward(spec: NetworkSpec, w: np.ndarray, x: np.ndarray, mask: DropoutMask 
             acts.append(saved)
         if i == stop_after:
             break
-    return x.copy() if buffered else x
+    return x.copy() if conv_out and buffers is not None else x
 
 
 def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
@@ -318,10 +313,10 @@ def forward_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     that pairs weight row b with input row b (fc-only specs). With a mask,
     dropped inputs are zeroed and survivors scaled by 1/(1-rate).
 
-    `buffers` is a dict, empty at first, that the passes over the chunks of
-    one dataset share: their conv layers reuse the buffers kept there
-    instead of allocating their own. The returned array never shares memory
-    with them."""
+    Each conv layer writes through one workspace, and `buffers` only sets
+    how long it lives: fresh arrays for this pass without it, or the arrays
+    kept in a dict, empty at first, that the chunks of one dataset share.
+    The returned array never shares memory with the dict."""
     _check_mask(spec, mask, x.shape[0])
     if w.ndim != 1:
         if any(layer.kind == "conv" for layer in spec.layers):
@@ -383,11 +378,11 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
     via logsumexp), summed or averaged over the batch. A label outside
     [0, num_classes) raises ValueError.
 
-    `buffers` is a dict, empty at first, that the minibatches of one
-    training run share: the forward pass keeps its conv arrays there as in
-    forward_batch, and backprop its conv input gradients, so a minibatch no
-    larger than the first allocates none of them. The returned gradient
-    never shares memory with them.
+    Forward and backprop write their conv arrays through forward_batch's
+    workspace, with its `buffers` (here a dict that the minibatches of one
+    training run share); the patch gradients overwrite the im2col matrix,
+    which nothing reads again. The returned gradient never shares memory
+    with the dict.
     """
     if w.ndim != 1:
         raise ValueError("nll_and_grad_batch takes one flat weight vector")
@@ -420,12 +415,9 @@ def nll_and_grad_batch(spec: NetworkSpec, w: np.ndarray, x: np.ndarray,
             np.matmul(cols.T, dmat, out=grad[wsl].reshape(kshape))
             if i == first:
                 break
-            # nothing reads the im2col matrix again, so the patch gradients
-            # overwrite it unless it is a view of the input
-            dcols = cols if cols.flags.writeable else np.empty_like(cols)
-            np.matmul(dmat, w[wsl].reshape(kshape).T, out=dcols)
+            np.matmul(dmat, w[wsl].reshape(kshape).T, out=cols)  # the patch gradients
             dx, = _buffers(buffers, ("backprop", i), (batch,) + plan.in_shapes[i])
-            delta = _col2im(dcols.reshape(batch, ho, wo, kshape[0]), dx,
+            delta = _col2im(cols.reshape(batch, ho, wo, kshape[0]), dx,
                             layer.kernel, layer.stride)
         elif layer.kind == "fc":
             wsl, bsl = plan.slices[i]

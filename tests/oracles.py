@@ -21,7 +21,10 @@ package's bodies as they were, calling its forward loop.
 `train_mcd_reference` is MC-dropout training as it was before minibatches
 ran through kept buffers: it converts the whole dataset to one float input
 array and takes each step with `nll_and_grad_batch_reference` and
-`adam_step_reference`, ADAM as whole-array expressions. `save_model_v2`
+`adam_step_reference`, ADAM as whole-array expressions.
+`fit_mean_field_reference` is the package's ELBO ascent as it was before it
+updated ADAM in place: it calls its ELBO estimator and takes each step with
+`nn.adam_step`, which copies the parameters and both moments. `save_model_v2`
 is the model writer of format version 2 (one JSON document with base64
 arrays), kept to check that such a file is refused with a hint.
 `collect_dataset_reference` is the package's dataset collection as it was
@@ -472,6 +475,33 @@ def train_mcd_reference(dataset, spec, epochs=25, batch_size=16, lr=1e-4, rng=No
             _, grad = nll_and_grad_batch_reference(spec, w, x_all[idx], y_all[idx], masks)
             w, adam = adam_step_reference(adam, w, grad)
     return bayes.McdPosterior(spec, w)
+
+
+def fit_mean_field_reference(loglik_fn, dim, prior_sigma, cfg, init_mu=None):
+    """ADAM ascent on the reparameterized ELBO, one copying `nn.adam_step`
+    per iteration; returns the Polyak average of the final quarter of the
+    iterates as a bayes.ViFit."""
+    from safesteer import nn
+
+    rng = np.random.default_rng(cfg.seed)
+    prior_sigma = np.broadcast_to(np.asarray(prior_sigma, dtype=np.float64), (dim,))
+    mu = np.zeros(dim) if init_mu is None else np.asarray(init_mu, dtype=np.float64).copy()
+    rho = np.log(prior_sigma).copy()
+    params = np.concatenate([mu, rho])
+    adam = nn.AdamState.fresh(params.size, lr=cfg.lr)
+    trace = np.empty(cfg.iterations)
+    tail_from = cfg.iterations - max(cfg.iterations // 4, 1)
+    tail_sum = np.zeros_like(params)
+    tail_n = 0
+    for it in range(cfg.iterations):
+        gm, gr, trace[it] = bayes._elbo_estimate(loglik_fn, params[:dim], params[dim:],
+                                                 prior_sigma, rng, cfg.mc_samples)
+        params, adam = nn.adam_step(adam, params, -np.concatenate([gm, gr]))
+        if it >= tail_from:
+            tail_sum += params
+            tail_n += 1
+    final = tail_sum / tail_n if tail_n else params
+    return bayes.ViFit(final[:dim].copy(), final[dim:].copy(), trace)
 
 
 def save_model_v2(model, path):

@@ -9,8 +9,9 @@ import pytest
 
 from safesteer import bayes, cli, nn, sim, uncertainty
 from safesteer.datasets import FeatureDataset, ImageDataset, image_to_input, images_to_input
-from oracles import (central_diff, extract_features_batch_reference, leapfrog_harmonic,
-                     max_rel_error, naive_forward, sample_weights_hmc_reference,
+from oracles import (central_diff, extract_features_batch_reference, fit_mean_field_reference,
+                     leapfrog_harmonic, max_rel_error, naive_forward,
+                     sample_weights_hmc_reference,
                      sample_weights_per_row, train_mcd_reference,
                      training_accuracy_reference, training_logits_reference)
 
@@ -70,6 +71,28 @@ def test_a_rate_must_be_finite_and_positive(value):
         bayes.ViConfig(lr=value)
     with pytest.raises(ValueError, match="finite and positive"):
         bayes.HmcConfig(step_size=value)
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (bayes.ViConfig, "iterations", 2.5),
+    (bayes.ViConfig, "iterations", -1),
+    (bayes.ViConfig, "iterations", True),
+    (bayes.ViConfig, "mc_samples", 0),
+    (bayes.HmcConfig, "leapfrog_steps", True),
+    (bayes.HmcConfig, "leapfrog_steps", 0),
+    (bayes.HmcConfig, "burn_in", np.int64(5)),
+    (bayes.HmcConfig, "burn_in", -1),
+    (bayes.HmcConfig, "samples", 2.5),
+    (bayes.HmcConfig, "samples", False),
+    (bayes.HmcConfig, "thin", 0),
+])
+def test_a_chain_count_that_is_not_an_integer_in_range_is_refused_by_name(make, name, value):
+    """A bool would run as a 1-step chain and a float fail later, inside
+    NumPy; each is refused where the config is made, by the train_mcd rule."""
+    least = 0 if name in ("iterations", "burn_in") else 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an integer >= {least}, got {value!r}")):
+        make(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +469,23 @@ def test_vi_elbo_trend_on_conjugate_model():
     se_diff = math.sqrt(2.0) * np.std(fit.elbo_trace[1500:]) / 10.0
     assert np.all(np.diff(window) >= -4.0 * se_diff)
     assert window[-1] > window[0]
+
+
+@pytest.mark.parametrize("iterations", [1, 4, 40])
+def test_fit_mean_field_keeps_the_bytes_of_the_copying_adam_steps(iterations):
+    """The in-place ADAM update gives the (mu, rho) and ELBO trace of one
+    copying adam_step per iteration, from the prior and from a given mean."""
+    head = relu_head()
+    ds = toy_feature_ds(6, n=30)
+    loglik = bayes._class_loglik(ds, head)
+    n = nn.param_count(head)
+    cfg = bayes.ViConfig(iterations=iterations, lr=0.01, seed=9)
+    for init_mu in (None, np.random.default_rng(10).normal(0, 0.5, n)):
+        got = bayes.fit_mean_field(loglik, n, PRIOR.param_sigmas(head), cfg, init_mu=init_mu)
+        want = fit_mean_field_reference(loglik, n, PRIOR.param_sigmas(head), cfg,
+                                        init_mu=init_mu)
+        for field in ("mu", "rho", "elbo_trace"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 def test_train_vi_classification_smoke_and_determinism():

@@ -341,8 +341,8 @@ def test_backward_matches_finite_differences_with_mask():
 def _grad_cases():
     """(spec, weights, inputs, labels, mask): the default network with
     dropout masks, its head, a spec whose first layer is a flatten, and one
-    whose second conv has a 1x1 kernel, so its im2col matrix is a
-    read-only view of its input."""
+    whose second conv has a 1x1 kernel, so its patches are the rows of its
+    input."""
     rng = np.random.default_rng(21)
     spec = nn.default_network_spec(20)
     w = nn.init_weights(spec, rng) + 0.01 * rng.standard_normal(nn.param_count(spec))
@@ -392,6 +392,23 @@ def test_minibatches_that_share_buffers_keep_the_loss_and_gradient_bytes():
                        for a in kept_arrays)
         kept.append((grad, grad.copy()))
     assert all(g.tobytes() == copy.tobytes() for g, copy in kept)  # later calls left them alone
+
+
+@pytest.mark.parametrize("mean", [True, False])
+def test_every_grad_case_through_one_shared_dict_keeps_the_reference_bytes(mean):
+    """All the cases, twice over, share one dict of buffers. The patch
+    gradients of the 1x1 conv overwrite its im2col matrix, which leaves
+    the caller's input as it was."""
+    buffers = {}
+    cases = list(_grad_cases())
+    for spec, w, x, labels, mask in cases + cases:
+        x_before = x.copy()
+        loss, grad = nn.nll_and_grad_batch(spec, w, x, labels, mask, mean=mean,
+                                           buffers=buffers)
+        want_loss, want = nll_and_grad_batch_reference(spec, w, x, labels, mask, mean=mean)
+        assert float(loss).hex() == float(want_loss).hex()
+        assert grad.tobytes() == want.tobytes()
+        assert x.tobytes() == x_before.tobytes()
 
 
 def test_backward_bias_gradient_closed_form():
