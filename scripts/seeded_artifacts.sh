@@ -5,9 +5,10 @@
 # to OUT. Each scenario is also collected at frame strides 1 and 3, its
 # MC-dropout network also trained at batch sizes 7 (a short last minibatch)
 # and 1000 (one minibatch per epoch), and its HMC chain also started from the
-# VI mean (--vi-model), for the digests only, so that more of collect's
-# kept-frame patterns, of training's minibatch shapes and of the VI fit are
-# compared.
+# VI mean (--vi-model), and its MC-dropout model also certified in all four
+# weathers (--weathers all, which the report echoes), for the digests only,
+# so that more of collect's kept-frame patterns, of training's minibatch
+# shapes, of the VI fit and of the weather presets are compared.
 # Run it on two checkouts (a parent commit and a change) and diff the two
 # outputs: a change that keeps seeded artifacts byte-identical prints the
 # same lines. Digests depend on the NumPy and BLAS build, so compare only
@@ -61,6 +62,9 @@ for scenario in straight_obstacle roundabout_first_exit; do
         run drive --scenario "$scenario" --model "$d/$m.json" --weather clear --seed 7 \
             --out "$d/$m-drive-clear.csv"
     done
+    run eval-safety --scenario "$scenario" --model "$d/mcd.json" --theta 0.4 --gamma 0.4 \
+        --weathers all --with-monitor --seed 5 \
+        --report "$d/mcd-all-weathers-report.json" --log "$d/mcd-all-weathers-log.csv"
 done
 
 cd "$out" && find . -type f | LC_ALL=C sort | xargs sha256sum

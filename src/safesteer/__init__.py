@@ -19,9 +19,9 @@ from .sim import (AutopilotController, Disturbances, EpisodePath,
 from .statcheck import (PrecisionSpec, SafetyEstimate, chernoff_sample_size,
                         estimate_decision_confidence_offline,
                         estimate_probabilistic_safety)
-from .uncertainty import (Binning, ConfidenceReport, Decision,
-                          PredictiveDistribution, WarningThresholds,
-                          bin_center, decide, decision_confidence,
-                          mutual_information, predictive, steering_to_class)
+from .uncertainty import (ConfidenceReport, Decision, PredictiveDistribution,
+                          WarningThresholds, bin_center, decide,
+                          decision_confidence, mutual_information, predictive,
+                          steering_to_class)
 
 __version__ = "0.1.0"

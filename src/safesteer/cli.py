@@ -20,7 +20,7 @@ import numpy as np
 from . import bayes, io, nn, sim, statcheck, uncertainty
 from .controllers import BnnController
 
-ALL_WEATHERS = ("clear", "cloudy", "wet", "rain")
+ALL_WEATHERS = tuple(sim.WEATHER_PRESETS)
 
 
 POSITIVE_COUNTS = ("n_samples", "episodes", "frame_stride", "epochs", "batch_size", "jobs",
@@ -60,9 +60,7 @@ class RunConfig:
         # a seed is checked the way a count is
         for names, least in ((POSITIVE_COUNTS, 1), (NON_NEGATIVE_COUNTS, 0), (("seed",), 0)):
             for name in names:
-                value = getattr(self, name)
-                if type(value) is not int or value < least:
-                    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+                bayes._check_count(name, getattr(self, name), least)
         if self.scenario not in sim.SCENARIO_NAMES:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         uncertainty.WarningThresholds(self.delta1, self.delta2, self.mi_threshold)
@@ -139,12 +137,12 @@ def _eps_leaves_a_bin_out(model: io.TrainedModel, cfg: RunConfig) -> bool:
     reaches the widest distance between two bin centres, 2 - 2/K. Then eta2
     is 1 on every frame and the monitor can never warn, so such an eps is a
     configuration error for the model."""
-    bins = uncertainty.Binning(model.mcd.spec.num_classes)
-    bound = (uncertainty.STEERING_HI - uncertainty.STEERING_LO) - bins.width
+    k = model.mcd.spec.num_classes
+    bound = (uncertainty.STEERING_HI - uncertainty.STEERING_LO) - uncertainty.bin_width(k)
     if cfg.eps < bound:
         return True
     print(f"configuration error: eps must be below {bound!r} (2 - 2/K for the model's "
-          f"K = {bins.num_classes} steering bins), got {cfg.eps!r}", file=sys.stderr)
+          f"K = {k} steering bins), got {cfg.eps!r}", file=sys.stderr)
     return False
 
 
@@ -173,7 +171,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             print(f"train --prior-sigma: {exc}", file=sys.stderr)
             return 2
     ds, dataset_hash = io.read_dataset(args.dataset)
-    spec = nn.default_network_spec(uncertainty.DEFAULT_BINNING.num_classes)  # collect's bins
+    spec = nn.default_network_spec(uncertainty.NUM_BINS)  # collect's bins
     bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= spec.num_classes))
     if bad.size:
         print(f"{args.dataset}: labels.csv line {bad[0] + 2} has class {ds.labels[bad[0]]}, "

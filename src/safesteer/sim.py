@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bayes import _check_count
 from .datasets import ImageDataset
 from .geometry import Path, PathBuilder, Rect, rects_overlap, wrap_angle
 from .uncertainty import ConfidenceReport, steering_to_class
@@ -485,8 +486,7 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     frames, so in a weather that draws (wet, rain) its kept frames at s > 1
     differ from every-step rendering. `collect_dataset` drives in clear
     weather, which draws nothing."""
-    if type(keep_stride) is not int or keep_stride < 0:
-        raise ValueError(f"keep_stride must be an integer >= 0, got {keep_stride!r}")
+    _check_count("keep_stride", keep_stride, 0)
     observes = getattr(controller, "observes", True)
     ss = np.random.SeedSequence(seed)
     rng_init, rng_weather, rng_ctrl, rng_noise = map(np.random.default_rng, ss.spawn(4))
@@ -560,10 +560,8 @@ def collect_dataset(scenario: ScenarioConfig, episodes: int, seed: int = 0,
     frame of every frame_stride-th step; labels are the binned autopilot
     commands. Only the kept frames are rendered. Unsafe generating episodes
     are a bug and abort collection."""
-    if episodes < 1:
-        raise ValueError("need at least one episode")
-    if type(frame_stride) is not int or frame_stride < 1:
-        raise ValueError(f"frame_stride must be an integer >= 1, got {frame_stride!r}")
+    _check_count("episodes", episodes, 1)
+    _check_count("frame_stride", frame_stride, 1)
     scenario = replace(scenario, weather="clear")
     pilot = AutopilotController()
     images: list[np.ndarray] = []

@@ -15,40 +15,27 @@ from . import bayes, nn
 
 # The steering range the bins cover: sim.step clamps commands to it.
 STEERING_LO, STEERING_HI = -1.0, 1.0
+# The bins of collected labels and of `train`'s network. Elsewhere K is the
+# width of the network's output: bins are uniform over the range, and a
+# decision actuates its bin's centre.
+NUM_BINS = 20
 
 
-@dataclass(frozen=True)
-class Binning:
-    """Uniform bins over the steering range; decisions actuate bin centers."""
-
-    num_classes: int = 20
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {self.num_classes!r}")
-
-    @property
-    def width(self) -> float:
-        return (STEERING_HI - STEERING_LO) / self.num_classes
-
-    def centers(self) -> np.ndarray:
-        return STEERING_LO + (np.arange(self.num_classes) + 0.5) * self.width
+def bin_width(k: int) -> float:
+    return (STEERING_HI - STEERING_LO) / k
 
 
-DEFAULT_BINNING = Binning()
-
-
-def bin_center(class_index: int, bins: Binning = DEFAULT_BINNING) -> float:
-    if not 0 <= class_index < bins.num_classes:
+def bin_center(class_index: int, k: int = NUM_BINS) -> float:
+    if not 0 <= class_index < k:
         raise ValueError(f"class {class_index} out of range")
-    return STEERING_LO + (class_index + 0.5) * bins.width
+    return STEERING_LO + (class_index + 0.5) * bin_width(k)
 
 
-def steering_to_class(angle: float, bins: Binning = DEFAULT_BINNING) -> int:
+def steering_to_class(angle: float, k: int = NUM_BINS) -> int:
     """Bin an angle; out-of-range angles clamp, the top edge maps to the
     last bin."""
     a = min(max(angle, STEERING_LO), STEERING_HI)
-    return min(int((a - STEERING_LO) / bins.width), bins.num_classes - 1)
+    return min(int((a - STEERING_LO) / bin_width(k)), k - 1)
 
 
 @dataclass(frozen=True)
@@ -73,10 +60,6 @@ class PredictiveDistribution:
     def mean_probs(self) -> np.ndarray:  # (K,)
         p = self.per_sample_probs
         return p.sum(axis=0) / p.shape[0]
-
-    @cached_property
-    def bins(self) -> Binning:
-        return Binning(self.per_sample_probs.shape[1])
 
     @property
     def n_samples(self) -> int:
@@ -118,7 +101,7 @@ def predictive(post: bayes.Posterior, features: np.ndarray, n: int,
 def decide(pred: PredictiveDistribution) -> Decision:
     """Most likely class of the predictive mean; ties break low."""
     idx = int(np.argmax(pred.mean_probs))
-    return Decision(idx, bin_center(idx, pred.bins))
+    return Decision(idx, bin_center(idx, pred.per_sample_probs.shape[1]))
 
 
 def decision_confidence(pred: PredictiveDistribution, decision: Decision,
@@ -128,7 +111,7 @@ def decision_confidence(pred: PredictiveDistribution, decision: Decision,
     if eps <= 0:
         raise ValueError("eps must be positive")
     votes = np.argmax(pred.per_sample_probs, axis=1)
-    centers = pred.bins.centers()[votes]
+    centers = STEERING_LO + (votes + 0.5) * bin_width(pred.per_sample_probs.shape[1])
     # small slack so a center distance of exactly eps survives float rounding
     inside = np.abs(centers - decision.steering) <= eps + 1e-12
     return int(np.count_nonzero(inside)) / inside.size

@@ -12,7 +12,8 @@ pose-invariant ray tables and the windowed droplets: they read the
 simulator's constants and call `Path.distance_sq_many` for the ground
 shading. The confidence references `decision_confidence_reference` and
 `mutual_information_reference` are the package's bodies as they were
-before they were rewritten with fewer array calls; they use its Binning.
+before they were rewritten with fewer array calls, with the bin centres
+computed here from the rows' width K.
 The whole-dataset references `extract_features_batch_reference` and
 `training_accuracy_reference` (one pass over every frame, before passes
 ran in fixed chunks) and `nll_and_grad_batch_reference` (backprop down to
@@ -46,7 +47,7 @@ from safesteer.sim import (CAMERA_FORWARD, CAMERA_HEIGHT, DROPLET_BRIGHTNESS,
                            DROPLET_RADIUS, IMG_H, IMG_W, MARK_BAND, MARKING,
                            OBSTACLE_COLOR, OFFROAD, ROAD, SKY, VIEW_RANGE,
                            AutopilotController, _pixel_rays, run_episode)
-from safesteer.uncertainty import DEFAULT_BINNING, steering_to_class
+from safesteer.uncertainty import steering_to_class
 
 _RAY_X, _RAY_Y, _RAY_Z = _pixel_rays()
 
@@ -339,13 +340,15 @@ def apply_weather_reference(img, weather, rng):
     return np.clip(np.rint(out), 0.0, 255.0).astype(np.uint8)
 
 
-def decision_confidence_reference(pred, decision, eps=0.1, bins=DEFAULT_BINNING):
+def decision_confidence_reference(pred, decision, eps=0.1):
     """Fraction of weight samples whose own most likely steering lands within
-    eps of the deployed decision."""
+    eps of the deployed decision: K uniform bins over [-1, 1] for the K
+    columns of the rows."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    k = pred.per_sample_probs.shape[1]
     votes = np.argmax(pred.per_sample_probs, axis=1)
-    centers = bins.centers()[votes]
+    centers = (-1.0 + (np.arange(k) + 0.5) * (2.0 / k))[votes]
     # small slack so a center distance of exactly eps survives float rounding
     inside = np.abs(centers - decision.steering) <= eps + 1e-12
     return float(inside.mean())

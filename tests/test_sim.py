@@ -615,6 +615,13 @@ def test_collect_dataset_frame_stride_must_be_an_int_of_at_least_1(stride):
                             frame_stride=stride)
 
 
+@pytest.mark.parametrize("episodes", [True, 2.5, 0])
+def test_collect_dataset_episodes_must_be_an_int_of_at_least_1(episodes):
+    # True once collected one episode and 2.5 raised a TypeError from range
+    with pytest.raises(ValueError, match="episodes must be an integer >= 1"):
+        sim.collect_dataset(sim.straight_obstacle_scenario(), episodes, 0, 50)
+
+
 @pytest.mark.parametrize("kind", ["straight_obstacle", "roundabout_first_exit"])
 @pytest.mark.parametrize("stride", [1, 2, 3, 16])
 def test_collect_dataset_matches_every_frame_collection(kind, stride):

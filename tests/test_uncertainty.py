@@ -5,10 +5,11 @@ import pytest
 
 from safesteer import bayes, nn, sim, uncertainty
 from safesteer.controllers import BnnController
-from safesteer.uncertainty import (Binning, Decision, PredictiveDistribution,
-                                   WarningThresholds, bin_center, decide,
-                                   decision_confidence, mutual_information,
-                                   predictive, steering_to_class)
+from safesteer.uncertainty import (Decision, PredictiveDistribution,
+                                   WarningThresholds, bin_center, bin_width,
+                                   decide, decision_confidence,
+                                   mutual_information, predictive,
+                                   steering_to_class)
 from oracles import (decision_confidence_reference, entropy_reference,
                      mutual_information_reference, predictive_per_sample)
 
@@ -38,11 +39,12 @@ def test_steering_to_class_boundaries():
     assert steering_to_class(2.0) == 19
 
 
-def test_binning_round_trip():
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 20])
+def test_binning_round_trip(k):
     rng = np.random.default_rng(0)
     for angle in rng.uniform(-1, 1, 10_000):
-        back = bin_center(steering_to_class(angle))
-        assert abs(back - angle) <= Binning().width / 2 + 1e-12
+        back = bin_center(steering_to_class(angle, k), k)
+        assert abs(back - angle) <= bin_width(k) / 2 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,7 @@ def test_a_controller_steers_by_the_bins_of_its_networks_outputs(method):
         pred = predictive(post, bayes.extract_features(mcd, obs), ctl.n_samples,
                           np.random.default_rng(i))
         idx = int(np.argmax(pred.mean_probs))
-        assert steering == bin_center(idx, Binning(10))
+        assert steering == bin_center(idx, 10)
         assert report.eta2 == decision_confidence(pred, Decision(idx, steering), ctl.eps)
 
 
@@ -355,9 +357,7 @@ def test_confidence_and_mi_bytes_equal_the_reference_bodies():
     for rows in _confidence_cases():
         pred = pred_from_rows(rows)
         assert pred.mean_probs.tobytes() == rows.mean(axis=0).tobytes()
-        k = rows.shape[1]
-        bins = pred.bins  # K bins, from the rows' width
-        assert bins == Binning(k)
+        k = rows.shape[1]  # K bins, from the rows' width
         for p in (pred.per_sample_probs, pred.mean_probs):
             got, want = uncertainty._entropy(p), entropy_reference(p)
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -365,9 +365,9 @@ def test_confidence_and_mi_bytes_equal_the_reference_bodies():
         got = mutual_information(pred)
         assert type(got) is float
         assert got.hex() == mutual_information_reference(pred).hex()
-        for decision in (decide(pred), Decision(0, bin_center(0, bins)),
-                         Decision(k - 1, bin_center(k - 1, bins))):
+        for decision in (decide(pred), Decision(0, bin_center(0, k)),
+                         Decision(k - 1, bin_center(k - 1, k))):
             for eps in (0.1, 0.05, 2.0 / k, 1e-3, 3.0):
                 got = decision_confidence(pred, decision, eps)
-                want = decision_confidence_reference(pred, decision, eps, bins)
+                want = decision_confidence_reference(pred, decision, eps)
                 assert type(got) is float and got.hex() == want.hex()
