@@ -20,8 +20,7 @@ class Prior:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < math.inf:  # a NaN fails too
-            raise ValueError(f"prior sigma must be finite and positive, got {self.sigma!r}")
+        _check_positive("prior sigma", self.sigma)
 
     def param_sigmas(self, spec: nn.NetworkSpec) -> np.ndarray:
         """Per-parameter scale vector for the given network."""
@@ -88,6 +87,12 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    """A positive real is finite and above 0; a NaN fails too."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ViConfig:
     iterations: int = 2000
@@ -98,8 +103,7 @@ class ViConfig:
     def __post_init__(self):
         _check_count("iterations", self.iterations, 0)
         _check_count("mc_samples", self.mc_samples, 1)
-        if not 0.0 < self.lr < math.inf:  # a NaN fails too
-            raise ValueError(f"VI lr must be finite and positive, got {self.lr!r}")
+        _check_positive("VI lr", self.lr)
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,7 @@ class HmcConfig:
     thin: int = 2
 
     def __post_init__(self):
-        if not 0.0 < self.step_size < math.inf:  # a NaN fails too
-            raise ValueError(f"step size must be finite and positive, got {self.step_size!r}")
+        _check_positive("step size", self.step_size)
         for name, least in (("leapfrog_steps", 1), ("burn_in", 0), ("samples", 1), ("thin", 1)):
             _check_count(name, getattr(self, name), least)
 
@@ -129,8 +132,7 @@ def train_mcd(dataset: ImageDataset, spec: nn.NetworkSpec, epochs: int = 25,
         raise ValueError("empty dataset")
     _check_count("epochs", epochs, 0)
     _check_count("batch_size", batch_size, 1)
-    if not 0.0 < lr < math.inf:  # a NaN fails too
-        raise ValueError(f"lr must be finite and positive, got {lr!r}")
+    _check_positive("lr", lr)
     _check_image_shape(spec, dataset.images.shape[1:] + (1,))
     y_all = np.asarray(dataset.labels, dtype=np.int64)
     nn._check_labels(spec, y_all)

@@ -3,15 +3,15 @@ inference methods, safety evaluation across weather grids, monitored drives,
 and sample-size planning.
 
 Exit codes: 0 success, 1 runtime failure (including a run whose episodes
-ended in "error" because the controller raised or the start pose was
-unsafe), 2 usage or validation error (a malformed model file or dataset too).
+ended in "error" because the controller raised or every one of the
+sim.START_DRAWS start poses was unsafe), 2 usage or validation error (a
+malformed model file or dataset too).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -68,8 +68,7 @@ class RunConfig:
         if not self.eps > 0:  # a NaN fails too
             raise ValueError(f"eps must be positive, got {self.eps!r}")
         statcheck.PrecisionSpec(self.theta, self.gamma)
-        if not 0.0 < self.lr < math.inf:  # a NaN fails too
-            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        bayes._check_positive("lr", self.lr)
         bayes.ViConfig(self.vi_iterations, 1, self.vi_lr, self.seed)
         bayes.HmcConfig(self.hmc_step_size, self.hmc_leapfrog, self.hmc_burn_in,
                         self.hmc_samples, self.hmc_thin)

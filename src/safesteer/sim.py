@@ -406,8 +406,8 @@ def autopilot_steering(state: VehicleState, scenario: ScenarioConfig) -> float:
 @dataclass(frozen=True)
 class AutopilotController:
     """Scripted data-collection autopilot. It reads the true state, not the
-    camera, so `run_episode` renders only the frames it keeps and passes
-    None."""
+    camera, so `run_episode` renders no frame for it and passes None;
+    `collect_dataset` renders the frames it keeps."""
 
     observes = False  # a controller without this attribute reads the camera
 
@@ -458,11 +458,10 @@ class EpisodePath:
     records: tuple[StepRecord, ...]
     outcome: str
     seed: object
-    observations: tuple[np.ndarray, ...] | None = None
     # why an "error" outcome ended the episode: "<type>: <message>" of the
     # controller's exception, "non-finite steering: <value>" for a NaN or
-    # infinite command, or "unsafe start pose: ..." for a jittered start
-    # outside the safe set
+    # infinite command, or "unsafe start pose: ..." when none of the
+    # START_DRAWS jittered starts was inside the safe set
     error: str | None = None
 
     @property
@@ -470,46 +469,43 @@ class EpisodePath:
         return self.outcome in SAFE_OUTCOMES
 
 
-def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | None = None,
-                seed=0, keep_stride: int = 0) -> EpisodePath:
-    """Drive one monitored or unmonitored episode. Deterministic given
-    (scenario, controller, seed, keep_stride): disturbances, weather and
-    controller sampling each own a child stream of the seed. A jittered
-    start pose outside the safe set is an "error" outcome, not a violation
-    of the controller's.
+# Lateral start offsets drawn per episode before an unsafe start is an error
+START_DRAWS = 8
 
-    keep_stride s >= 1 keeps the frames of steps 0, s, 2s, ..., which pair
-    with records[::s]; 0 keeps none and leaves `observations` None. A step
-    renders and weathers a frame only if it is kept or the controller reads
-    it. A controller whose `observes` attribute is False reads only the
-    true state and is passed None; its episode draws weather only for kept
-    frames, so in a weather that draws (wet, rain) its kept frames at s > 1
-    differ from every-step rendering. `collect_dataset` drives in clear
-    weather, which draws nothing."""
-    _check_count("keep_stride", keep_stride, 0)
+
+def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | None = None,
+                seed=0) -> EpisodePath:
+    """Drive one monitored or unmonitored episode. Deterministic given
+    (scenario, controller, seed): disturbances, weather and controller
+    sampling each own a child stream of the seed. A step renders and
+    weathers a frame only for a controller that reads the camera; one whose
+    `observes` attribute is False reads only the true state and is passed
+    None. An unsafe start is an "error" outcome, not a violation."""
     observes = getattr(controller, "observes", True)
     ss = np.random.SeedSequence(seed)
     rng_init, rng_weather, rng_ctrl, rng_noise = map(np.random.default_rng, ss.spawn(4))
     weather = WEATHER_PRESETS[scenario.weather]
 
     (x0, y0), h0 = scenario.centerline.point_at(0.0), scenario.centerline.heading_at(0.0)
-    jitter = rng_init.normal(0.0, scenario.disturbances.lateral_jitter_std)
-    state = VehicleState(x0 - jitter * math.sin(h0), y0 + jitter * math.cos(h0),
-                         h0, scenario.nominal_speed)
     records: list[StepRecord] = []
-    frames: list[np.ndarray] = []
     outcome, error = "completed", None
     braking = alerted = False
-    if not is_safe(state, scenario):
+    # Redrawn until safe, the start offset is the normal conditioned on a safe
+    # start; a scenario with no safe start within START_DRAWS draws still
+    # ends in "error".
+    for _ in range(START_DRAWS):
+        jitter = rng_init.normal(0.0, scenario.disturbances.lateral_jitter_std)
+        state = VehicleState(x0 - jitter * math.sin(h0), y0 + jitter * math.cos(h0),
+                             h0, scenario.nominal_speed)
+        if is_safe(state, scenario):
+            break
+    else:
         error = f"unsafe start pose: x={state.x!r} y={state.y!r} heading={state.heading!r}"
     for k in range(scenario.horizon + 1 if error is None else 0):
         # Rebind obs only once the new frame exists: freeing the old one first
         # can shift glibc's heap enough to add tens of page faults per step.
-        keep = keep_stride > 0 and k % keep_stride == 0
-        if observes or keep:
+        if observes:
             obs = apply_weather(render(state, scenario), weather, rng_weather)
-            if keep:
-                frames.append(obs)
         else:
             obs = None
         try:
@@ -550,29 +546,31 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
     if error is not None:
         records.append(StepRecord(len(records), state, 0.0, 0.0, None, None))
         outcome = "error"
-    return EpisodePath(tuple(records), outcome, seed,
-                       tuple(frames) if keep_stride else None, error)
+    return EpisodePath(tuple(records), outcome, seed, error)
 
 
 def collect_dataset(scenario: ScenarioConfig, episodes: int, seed: int = 0,
                     frame_stride: int = 1) -> ImageDataset:
     """Autopilot episodes in clear weather with jittered starts, keeping the
     frame of every frame_stride-th step; labels are the binned autopilot
-    commands. Only the kept frames are rendered. Unsafe generating episodes
-    are a bug and abort collection."""
+    commands. Each kept frame is rendered here from its record's pose, in
+    clear weather, which draws nothing. Unsafe generating episodes are a
+    bug and abort collection."""
     _check_count("episodes", episodes, 1)
     _check_count("frame_stride", frame_stride, 1)
     scenario = replace(scenario, weather="clear")
     pilot = AutopilotController()
+    rng = np.random.default_rng(0)
     images: list[np.ndarray] = []
     labels: list[int] = []
     steerings: list[float] = []
     for ep in range(episodes):
-        path = run_episode(scenario, pilot, None, seed=[seed, ep], keep_stride=frame_stride)
+        path = run_episode(scenario, pilot, None, seed=[seed, ep])
         if not path.safe:
             raise RuntimeError(f"autopilot episode {ep} was unsafe ({path.outcome})")
-        images.extend(path.observations)
         for rec in path.records[::frame_stride]:
+            images.append(apply_weather(render(rec.state, scenario),
+                                        WEATHER_PRESETS["clear"], rng))
             labels.append(steering_to_class(rec.steering))
             steerings.append(rec.steering)
     return ImageDataset(np.stack(images), np.asarray(labels, dtype=np.int64),

@@ -29,9 +29,10 @@ updated ADAM in place: it calls its ELBO estimator and takes each step with
 is the model writer of format version 2 (one JSON document with base64
 arrays), kept to check that such a file is refused with a hint.
 `collect_dataset_reference` is the package's dataset collection as it was
-before it rendered only the kept frames: it keeps every frame of each
-autopilot episode and then slices every frame_stride-th (image, record)
-pair, through the package's episode loop.
+before it rendered only the kept frames: it drives each autopilot episode
+through the package's episode loop, renders every record's frame with
+`render_reference` (clear weather changes no pixel) and then slices every
+frame_stride-th (image, record) pair. It reads no frame of the package's.
 """
 
 import base64
@@ -532,16 +533,18 @@ def save_model_v2(model, path):
 
 
 def collect_dataset_reference(scenario, episodes, seed=0, frame_stride=1):
-    """Every frame of each clear-weather autopilot episode is formed and
-    kept; every frame_stride-th (record, frame) pair is then taken."""
+    """Every frame of each clear-weather autopilot episode is rendered with
+    `render_reference` from its record's pose (clear weather changes no
+    pixel); every frame_stride-th (record, frame) pair is then taken."""
     scenario = dataclasses.replace(scenario, weather="clear")
     pilot = AutopilotController()
     images, labels, steerings = [], [], []
     for ep in range(episodes):
-        path = run_episode(scenario, pilot, None, seed=[seed, ep], keep_stride=1)
+        path = run_episode(scenario, pilot, None, seed=[seed, ep])
         if not path.safe:
             raise RuntimeError(f"autopilot episode {ep} was unsafe ({path.outcome})")
-        for rec, frame in list(zip(path.records, path.observations))[::frame_stride]:
+        frames = [render_reference(rec.state, scenario) for rec in path.records]
+        for rec, frame in list(zip(path.records, frames))[::frame_stride]:
             images.append(frame)
             labels.append(steering_to_class(rec.steering))
             steerings.append(rec.steering)

@@ -517,14 +517,12 @@ def test_episode_unsafe_start_pose_is_an_error_not_a_violation():
     outcomes = set()
     for seed in range(12):
         scn = sim.straight_obstacle_scenario(disturbances=wild)
-        path = sim.run_episode(scn, ConstantController(0.0), None, seed=seed,
-                               keep_stride=1)
+        path = sim.run_episode(scn, ConstantController(0.0), None, seed=seed)
         start = path.records[0].state
         if sim.is_safe(start, scn):
             assert path.outcome != "error" and path.error is None
         else:
             assert path.outcome == "error" and len(path.records) == 1
-            assert path.observations == ()
             assert path.error == (f"unsafe start pose: x={start.x!r} y={start.y!r} "
                                   f"heading={start.heading!r}")
         outcomes.add(path.outcome)
@@ -543,36 +541,51 @@ def test_episode_starts_at_the_start_of_the_centerline():
 
 
 def test_episode_deterministic_including_observations():
+    # the records, and the rain frames a camera-reading controller is passed
     scn = sim.straight_obstacle_scenario(weather="rain")
-    a = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_stride=1)
-    b = sim.run_episode(scn, sim.AutopilotController(), None, seed=5, keep_stride=1)
+
+    def observed_run():
+        frames = []
+
+        class Camera(ConstantController):
+            def act(self, obs, state, scenario, rng):
+                frames.append(obs)
+                return super().act(obs, state, scenario, rng)
+
+        return sim.run_episode(scn, Camera(), None, seed=5), frames
+
+    (a, frames_a), (b, frames_b) = observed_run(), observed_run()
     assert a.outcome == b.outcome
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra == rb
-    for fa, fb in zip(a.observations, b.observations):
+    assert a.records == b.records
+    assert len(frames_a) == len(a.records)
+    for fa, fb in zip(frames_a, frames_b):
         assert np.array_equal(fa, fb)
 
 
-def test_an_observing_controllers_kept_frames_are_every_stride_th_frame():
-    # the controller reads every frame, so rain draws at every step and the
-    # stride only picks which frames are returned
-    scn = sim.straight_obstacle_scenario(weather="rain")
-    every = sim.run_episode(scn, ConstantController(0.0), None, seed=5, keep_stride=1)
-    for stride in (2, 3):
-        kept = sim.run_episode(scn, ConstantController(0.0), None, seed=5, keep_stride=stride)
-        assert kept.records == every.records
-        assert len(kept.observations) == len(every.records[::stride])
-        for fa, fb in zip(kept.observations, every.observations[::stride]):
-            assert np.array_equal(fa, fb)
-    assert sim.run_episode(scn, ConstantController(0.0), None, seed=5).observations is None
+def start_offsets(scn, seed, n):
+    """The first n lateral offsets of the episode's start-pose stream."""
+    rng_init = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+    return [rng_init.normal(0.0, scn.disturbances.lateral_jitter_std) for _ in range(n)]
 
 
-@pytest.mark.parametrize("stride", [-1, 1.0, 2.5, True, "2", None])
-def test_episode_keep_stride_must_be_a_non_negative_int(stride):
-    with pytest.raises(ValueError, match="keep_stride"):
-        sim.run_episode(straight_road(), ConstantController(0.0), None, seed=0,
-                        keep_stride=stride)
+def test_a_5_sigma_start_offset_is_redrawn():
+    # the first offset of this seed lands 1.505 m off the centerline, outside
+    # the 1.5 m corridor; the second is the start
+    scn = sim.straight_obstacle_scenario()
+    first, second = start_offsets(scn, [3906, 37, 2], 2)
+    assert first > scn.corridor_half_width
+    path = sim.run_episode(scn, sim.AutopilotController(), None, seed=[3906, 37, 2])
+    assert path.outcome == "completed" and path.error is None
+    assert path.records[0].state.y == second
+
+
+def test_a_safe_first_start_offset_is_kept():
+    # the start stream draws nothing else, so an episode whose first offset
+    # is safe (all but about 6e-7 of them) starts at that offset
+    scn = dataclasses.replace(sim.straight_obstacle_scenario(), horizon=1)
+    for seed in range(200):
+        path = sim.run_episode(scn, sim.AutopilotController(), None, seed=seed)
+        assert path.records[0].state.y == start_offsets(scn, seed, 1)[0], seed
 
 
 def test_episode_records_bounded_by_horizon():
