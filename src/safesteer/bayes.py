@@ -254,12 +254,10 @@ def _elbo_estimate(loglik_fn, mu, rho, prior_sigma, rng, mc_samples):
 
 
 def elbo_gradient(ds: FeatureDataset, head: nn.NetworkSpec, prior: Prior,
-                  mu: np.ndarray, rho: np.ndarray, rng: np.random.Generator,
-                  mc_samples: int = 1):
+                  mu: np.ndarray, rho: np.ndarray, rng: np.random.Generator):
     """Reparameterization estimator of the ELBO gradient (w = mu + e^rho * zeta)
     with the Gaussian-vs-Gaussian KL in closed form."""
-    return _elbo_estimate(_class_loglik(ds, head), mu, rho, prior.param_sigmas(head),
-                          rng, mc_samples)
+    return _elbo_estimate(_class_loglik(ds, head), mu, rho, prior.param_sigmas(head), rng, 1)
 
 
 @dataclass(frozen=True)
@@ -372,6 +370,8 @@ def train_hmc(ds: FeatureDataset, head: nn.NetworkSpec, prior: Prior,
               init_w: np.ndarray | None = None) -> HmcPosterior:
     """Sample the head posterior with HMC; the target is exp(-U) with U from
     potential_energy."""
+    if len(ds) == 0:
+        raise ValueError("empty dataset")
     samples, _ = hmc_chain(lambda w: potential_energy(w, ds, head, prior),
                            nn.param_count(head), cfg, rng, init=init_w)
     return HmcPosterior(head, samples)

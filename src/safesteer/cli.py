@@ -227,17 +227,17 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
     spec = statcheck.PrecisionSpec(cfg.theta, cfg.gamma)
     n = statcheck.chernoff_sample_size(spec)
     monitor_options = [False, True] if args.with_monitor else [False]
+    controllers = {m: _controller(model, cfg, with_confidence=m) for m in monitor_options}
+    monitor = sim.MonitorPolicy(cfg.slow_factor) if args.with_monitor else None
     cells = []
     logged_paths = []
     errors = []
     for weather in cfg.weathers:
         scenario = sim.scenario_by_name(cfg.scenario, weather=weather)
-        for monitored in monitor_options:
-            controller = _controller(model, cfg, with_confidence=monitored)
-            monitor = sim.MonitorPolicy(cfg.slow_factor) if monitored else None
+        for monitored, controller in controllers.items():
             est = statcheck.estimate_probabilistic_safety(
-                scenario, controller, monitor, spec, cfg.seed, jobs=cfg.jobs,
-                log_episodes=cfg.log_episodes)
+                scenario, controller, monitor if monitored else None, spec, cfg.seed,
+                jobs=cfg.jobs, log_episodes=cfg.log_episodes)
             logged_paths.extend(est.logged)
             warning_steps = {w: sum(rec.warning == w for p in est.logged for rec in p.records)
                              for w in ("W0", "W1", "W2")}
@@ -259,7 +259,7 @@ def cmd_eval_safety(args, cfg: RunConfig) -> int:
     config_echo["weathers"] = list(cfg.weathers)
     config_echo["num_classes"] = model.mcd.spec.num_classes
     io.write_summary_report(args.report, config_echo, spec, n, cells)
-    scenario = sim.scenario_by_name(cfg.scenario)
+    # the loop's last scenario: dt is the same in every weather
     with open(args.log, "w", newline="") as fh:
         io.write_trajectory(logged_paths, scenario.dt, fh)
     print(f"wrote {args.report} and {args.log}")

@@ -26,6 +26,10 @@ class BnnController:
     thresholds: uncertainty.WarningThresholds = uncertainty.WarningThresholds()
     with_confidence: bool = True
 
+    def __post_init__(self):
+        bayes._check_count("n_samples", self.n_samples, 1)
+        bayes._check_positive("eps", self.eps)
+
     def act(self, obs: np.ndarray, state, scenario,
             rng: np.random.Generator):
         feats = bayes.extract_features(self.mcd, obs)

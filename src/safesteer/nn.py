@@ -72,9 +72,8 @@ class NetworkPlan:
     `head_slice`) is derived on first use, because a head spec has no
     feature boundary of its own. Raises if the shapes do not compose."""
 
-    def __init__(self, layers: tuple[LayerSpec, ...], input_shape: Shape, num_classes: int):
+    def __init__(self, layers: tuple[LayerSpec, ...], input_shape: Shape):
         self._layers = layers
-        self._num_classes = num_classes
         in_shapes: list[Shape] = []
         out_shapes: list[Shape] = []
         kernel_shapes: list[tuple[int, int] | None] = []
@@ -132,7 +131,7 @@ class NetworkPlan:
     @cached_property
     def head_spec(self) -> NetworkSpec:
         b = self.feature_boundary
-        return NetworkSpec(self._layers[b:], self.out_shapes[b - 1], self._num_classes)
+        return NetworkSpec(self._layers[b:], self.out_shapes[b - 1], self.out_shapes[-1][0])
 
     @cached_property
     def head_slice(self) -> slice:
@@ -153,7 +152,7 @@ class NetworkSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        plan = NetworkPlan(self.layers, self.input_shape, self.num_classes)
+        plan = NetworkPlan(self.layers, self.input_shape)
         if plan.out_shapes[-1] != (self.num_classes,):
             raise ValueError(
                 f"network emits {plan.out_shapes[-1]}, expected ({self.num_classes},)")

@@ -5,14 +5,14 @@ membership, a pure-pursuit autopilot, and the monitored episode loop."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes import _check_count
 from .datasets import ImageDataset
 from .geometry import Path, PathBuilder, Rect, rects_overlap, wrap_angle
-from .uncertainty import ConfidenceReport, steering_to_class
+from .uncertainty import STEERING_HI, STEERING_LO, ConfidenceReport, steering_to_class
 
 # Vehicle parameters (ordinary passenger-car figures)
 WHEELBASE = 2.7        # m
@@ -54,7 +54,7 @@ def step(state: VehicleState, steering: float, speed_cmd: float,
     then speed moves toward speed_cmd under the acceleration limit."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    delta = min(max(steering, -1.0), 1.0) * DELTA_MAX
+    delta = min(max(steering, STEERING_LO), STEERING_HI) * DELTA_MAX
     v = state.speed
     x = state.x + v * math.cos(state.heading) * dt
     y = state.y + v * math.sin(state.heading) * dt
@@ -400,7 +400,7 @@ def autopilot_steering(state: VehicleState, scenario: ScenarioConfig) -> float:
     ld = max(math.hypot(fwd, left), 1e-9)
     alpha = math.atan2(left, fwd)
     delta = math.atan2(2.0 * WHEELBASE * math.sin(alpha), ld)
-    return min(max(delta / DELTA_MAX, -1.0), 1.0)
+    return min(max(delta / DELTA_MAX, STEERING_LO), STEERING_HI)
 
 
 @dataclass(frozen=True)
@@ -551,14 +551,13 @@ def run_episode(scenario: ScenarioConfig, controller, monitor: MonitorPolicy | N
 
 def collect_dataset(scenario: ScenarioConfig, episodes: int, seed: int = 0,
                     frame_stride: int = 1) -> ImageDataset:
-    """Autopilot episodes in clear weather with jittered starts, keeping the
-    frame of every frame_stride-th step; labels are the binned autopilot
-    commands. Each kept frame is rendered here from its record's pose, in
-    clear weather, which draws nothing. Unsafe generating episodes are a
-    bug and abort collection."""
+    """Autopilot episodes with jittered starts, keeping the frame of every
+    frame_stride-th step; labels are the binned autopilot commands. Each
+    kept frame is rendered here from its record's pose, in clear weather
+    whatever the scenario's, which draws nothing. Unsafe generating
+    episodes are a bug and abort collection."""
     _check_count("episodes", episodes, 1)
     _check_count("frame_stride", frame_stride, 1)
-    scenario = replace(scenario, weather="clear")
     pilot = AutopilotController()
     rng = np.random.default_rng(0)
     images: list[np.ndarray] = []

@@ -13,7 +13,7 @@ import numpy as np
 from . import bayes, nn
 
 
-# The steering range the bins cover: sim.step clamps commands to it.
+# The steering range the bins cover: sim.step and the autopilot clamp to it.
 STEERING_LO, STEERING_HI = -1.0, 1.0
 # The bins of collected labels and of `train`'s network. Elsewhere K is the
 # width of the network's output: bins are uniform over the range, and a
@@ -61,10 +61,6 @@ class PredictiveDistribution:
         p = self.per_sample_probs
         return p.sum(axis=0) / p.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.per_sample_probs.shape[0]
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -77,7 +73,6 @@ class ConfidenceReport:
     eta2: float
     mutual_info: float
     warning: str | None
-    n_samples: int
 
 
 def predictive(post: bayes.Posterior, features: np.ndarray, n: int,
@@ -165,4 +160,4 @@ def confidence_report(pred: PredictiveDistribution, decision: Decision,
                       eps: float, thresholds: WarningThresholds) -> ConfidenceReport:
     eta2 = decision_confidence(pred, decision, eps)
     mi = mutual_information(pred)
-    return ConfidenceReport(eta2, mi, thresholds.classify(eta2, mi), pred.n_samples)
+    return ConfidenceReport(eta2, mi, thresholds.classify(eta2, mi))

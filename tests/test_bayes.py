@@ -131,6 +131,19 @@ def test_train_mcd_rejects_empty():
                                      np.zeros(0, np.int64)), spec)
 
 
+@pytest.mark.parametrize("method", ["vi", "hmc"])
+def test_head_training_rejects_an_empty_dataset(method):
+    # train_hmc once returned a sample of the prior
+    empty = FeatureDataset(np.zeros((0, 4)), np.zeros(0, np.int64))
+    with pytest.raises(ValueError, match="empty dataset"):
+        if method == "vi":
+            bayes.train_vi(empty, smooth_head(), PRIOR, bayes.ViConfig(iterations=5))
+        else:
+            bayes.train_hmc(empty, smooth_head(), PRIOR,
+                            bayes.HmcConfig(burn_in=0, samples=2, thin=1),
+                            np.random.default_rng(0))
+
+
 def random_image_ds(n, seed=0, k=20):
     rng = np.random.default_rng(seed)
     return ImageDataset(rng.integers(0, 256, (n, 48, 64)).astype(np.uint8),

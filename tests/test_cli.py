@@ -784,6 +784,33 @@ def test_a_config_weather_list_gives_the_cells_of_the_flag(value, tmp_path, mcd_
     assert [cell["weather"] for cell in cells] == want
 
 
+def test_eval_safety_builds_one_controller_per_monitor_setting(tmp_path, mcd_model,
+                                                               monkeypatch):
+    # it once built a controller, and a scenario for the log's dt, per cell
+    controllers, scenarios = [], []
+    build_controller, build_scenario = cli.BnnController, sim.scenario_by_name
+
+    def counted_controller(*args, **kwargs):
+        controllers.append(build_controller(*args, **kwargs))
+        return controllers[-1]
+
+    def counted_scenario(*args, **kwargs):
+        scenarios.append(build_scenario(*args, **kwargs))
+        return scenarios[-1]
+
+    monkeypatch.setattr(cli, "BnnController", counted_controller)
+    monkeypatch.setattr(sim, "scenario_by_name", counted_scenario)
+    report = tmp_path / "report.json"
+    assert run_cli("eval-safety", "--model", str(mcd_model), *CELL_ARGS, "--weathers", "all",
+                   "--with-monitor", "--report", str(report),
+                   "--log", str(tmp_path / "log.csv")) == 0
+    assert [c.with_confidence for c in controllers] == [False, True]
+    assert [s.weather for s in scenarios] == list(cli.ALL_WEATHERS)
+    cells = json.loads(report.read_text())["cells"]
+    assert [(c["weather"], c["monitored"]) for c in cells] == [
+        (w, m) for w in cli.ALL_WEATHERS for m in (False, True)]
+
+
 # A rate or step size that is not a finite positive number: (method, field,
 # value), each once from its flag and once from a --config file
 RATE_CASES = ([("mcd", "lr", v) for v in (-1.0, 0.0, math.nan, math.inf)]

@@ -517,6 +517,10 @@ def test_default_spec_shapes():
     assert nn.param_count(nn.head_spec(spec)) == 5616
 
 
+def test_a_head_spec_has_the_networks_classes():
+    assert nn.default_network_spec(7).plan.head_spec.num_classes == 7
+
+
 def test_spec_rejects_bad_compositions():
     with pytest.raises(ValueError):
         nn.NetworkSpec((nn.fc(3),), (2, 2, 1), 3)  # fc on a 3-d input

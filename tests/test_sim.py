@@ -25,7 +25,7 @@ class ConstantController:
     warning: str | None = None
 
     def act(self, obs, state, scenario, rng):
-        report = ConfidenceReport(self.eta2, 0.0, self.warning, 1)
+        report = ConfidenceReport(self.eta2, 0.0, self.warning)
         return self.steering, report
 
 
@@ -617,6 +617,18 @@ def test_collect_dataset_deterministic():
     b = sim.collect_dataset(scn, episodes=1, seed=9, frame_stride=8)
     assert np.array_equal(a.images, b.images)
     assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("kind", ["straight_obstacle", "roundabout_first_exit"])
+def test_collect_dataset_frames_are_clear_whatever_the_scenarios_weather(kind):
+    clear = sim.collect_dataset(sim.scenario_by_name(kind), episodes=2, seed=6, frame_stride=5)
+    rain = sim.collect_dataset(sim.scenario_by_name(kind, weather="rain"), episodes=2, seed=6,
+                               frame_stride=5)
+    for name in ("images", "labels", "steerings"):
+        a, b = getattr(rain, name), getattr(clear, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+    assert (rain.scenario, rain.seed) == (clear.scenario, clear.seed)
 
 
 @pytest.mark.parametrize("stride", [-5, 0, 2.5, np.int64(2), True])

@@ -21,7 +21,7 @@ class ScriptedController:
     warning: str | None = None
 
     def act(self, obs, state, scenario, rng):
-        return self.steering, ConfidenceReport(self.eta2, 0.0, self.warning, 1)
+        return self.steering, ConfidenceReport(self.eta2, 0.0, self.warning)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -191,6 +192,17 @@ def test_a_controller_steers_by_the_bins_of_its_networks_outputs(method):
         assert report.eta2 == decision_confidence(pred, Decision(idx, steering), ctl.eps)
 
 
+@pytest.mark.parametrize("setting, value", [("eps", v) for v in (0.0, -0.1, math.nan, math.inf)]
+                         + [("n_samples", v) for v in (0, 2.5, True)])
+def test_a_controller_checks_its_settings_when_built(setting, value):
+    # each once built without complaint, and every monitored episode then
+    # ended in error
+    spec = nn.default_network_spec()
+    mcd = bayes.McdPosterior(spec, np.zeros(spec.plan.param_count))
+    with pytest.raises(ValueError, match=f"^{setting} must be"):
+        BnnController(mcd, mcd, **{setting: value})
+
+
 # ---------------------------------------------------------------------------
 # decision confidence
 
@@ -315,6 +327,11 @@ def test_warning_monotone():
         assert all(b >= a for a, b in zip(levels, levels[1:]))  # higher MI, never milder
 
 
+def test_a_confidence_report_holds_the_confidence_the_information_and_the_warning():
+    names = [f.name for f in dataclasses.fields(uncertainty.ConfidenceReport)]
+    assert names == ["eta2", "mutual_info", "warning"]
+
+
 def test_predictive_row_validation():
     with pytest.raises(ValueError):
         PredictiveDistribution(np.array([[0.5, 0.2]]))
@@ -330,8 +347,8 @@ def test_predictive_row_validation():
                 PredictiveDistribution(rows)
     # exact zeros, -0.0 and rounding within 1e-9 of a unit sum are accepted
     ok = np.array([good, [-0.0, 1.0, 0.0], [0.5, 0.5 - 1e-12, 0.0]])
-    assert PredictiveDistribution.from_samples(ok).n_samples == 3
-    assert PredictiveDistribution(ok).n_samples == 3
+    assert PredictiveDistribution.from_samples(ok).per_sample_probs.shape == (3, 3)
+    assert PredictiveDistribution(ok).per_sample_probs.shape == (3, 3)
 
 
 def _hex(x):
