@@ -177,14 +177,9 @@ def extract_features_batch(mcd: McdPosterior, images: np.ndarray) -> np.ndarray:
     n = len(images)
     if n <= EXTRACT_CHUNK:
         return _extract_chunk(mcd, images)
-    plan = mcd.spec.plan
-    out = np.empty((n,) + plan.out_shapes[plan.feature_boundary - 1])
     buffers: dict = {}
-    start = 0
-    for chunk in np.array_split(images, -(-n // EXTRACT_CHUNK)):
-        out[start:start + len(chunk)] = _extract_chunk(mcd, chunk, buffers)
-        start += len(chunk)
-    return out
+    return np.concatenate([_extract_chunk(mcd, chunk, buffers)
+                           for chunk in np.array_split(images, -(-n // EXTRACT_CHUNK))])
 
 
 def _extract_chunk(mcd: McdPosterior, images: np.ndarray,

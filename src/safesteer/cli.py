@@ -65,8 +65,7 @@ class RunConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         uncertainty.WarningThresholds(self.delta1, self.delta2, self.mi_threshold)
         sim.MonitorPolicy(self.slow_factor)
-        if not self.eps > 0:  # a NaN fails too
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
+        bayes._check_positive("eps", self.eps)
         statcheck.PrecisionSpec(self.theta, self.gamma)
         bayes._check_positive("lr", self.lr)
         bayes.ViConfig(self.vi_iterations, 1, self.vi_lr, self.seed)

@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from pathlib import Path as FsPath
 
@@ -309,18 +309,9 @@ def write_trajectory(paths, dt: float, fh) -> None:
 # Summary report
 
 def estimate_to_dict(est: SafetyEstimate) -> dict:
-    return {
-        "eta_hat": est.eta_hat,
-        "n": est.n,
-        "theta": est.spec.theta,
-        "gamma": est.spec.gamma,
-        "safe_count": est.safe_count,
-        "handover_count": est.handover_count,
-        "collision_count": est.collision_count,
-        "out_of_bounds_count": est.out_of_bounds_count,
-        "error_count": est.error_count,
-        "autonomy_rate": est.autonomy_rate,
-    }
+    """Every field but the logged paths, with the spec's theta and gamma for the spec."""
+    kept = (f.name for f in fields(est) if f.name not in ("spec", "logged"))
+    return dict({k: getattr(est, k) for k in kept}, theta=est.spec.theta, gamma=est.spec.gamma)
 
 
 def write_summary_report(path, config_echo: dict, spec: PrecisionSpec,

@@ -12,6 +12,7 @@ import numpy as np
 from .bayes import _check_count
 from .datasets import ImageDataset
 from .geometry import Path, PathBuilder, Rect, rects_overlap, wrap_angle
+from .nn import IMAGE_SHAPE
 from .uncertainty import STEERING_HI, STEERING_LO, ConfidenceReport, steering_to_class
 
 # Vehicle parameters (ordinary passenger-car figures)
@@ -27,7 +28,7 @@ CAMERA_FORWARD = 2.0   # m ahead of the vehicle center
 CAMERA_HEIGHT = 1.2    # m
 CAMERA_PITCH = 0.35    # rad below horizontal
 FOCAL_PX = 32.0
-IMG_W, IMG_H = 64, 48
+IMG_H, IMG_W = IMAGE_SHAPE[:2]
 VIEW_RANGE = 80.0      # m, ground beyond this renders as horizon
 
 # Rendered intensities: road out to the corridor edge with a light marking

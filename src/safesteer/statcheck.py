@@ -94,8 +94,10 @@ def estimate_probabilistic_safety(scenario: sim.ScenarioConfig, controller,
     Pool workers receive the cell once, when they start, and then only
     episode indices. The first min(log_episodes, n) episodes of this
     certified batch come back as `logged` paths, in index order."""
+    bayes._check_count("jobs", jobs, 1)
+    bayes._check_count("log_episodes", log_episodes, 0)
     n = chernoff_sample_size(spec)
-    k = min(max(log_episodes, 0), n)
+    k = min(log_episodes, n)
     cell = (scenario, controller, monitor, master_seed, k)
     if jobs > 1:
         chunk = max(1, n // (jobs * 8))

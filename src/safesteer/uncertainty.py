@@ -103,8 +103,7 @@ def decision_confidence(pred: PredictiveDistribution, decision: Decision,
                         eps: float = 0.1) -> float:
     """Fraction of weight samples whose own most likely steering lands within
     eps of the deployed decision."""
-    if not eps > 0:  # a NaN fails too
-        raise ValueError("eps must be positive")
+    bayes._check_positive("eps", eps)
     votes = np.argmax(pred.per_sample_probs, axis=1)
     centers = STEERING_LO + (votes + 0.5) * bin_width(pred.per_sample_probs.shape[1])
     # small slack so a center distance of exactly eps survives float rounding

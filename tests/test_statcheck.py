@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from safesteer import bayes, nn, sim, statcheck
+from safesteer import bayes, io, nn, sim, statcheck
 from safesteer.statcheck import (PrecisionSpec, chernoff_sample_size, estimate_bernoulli,
                                  estimate_decision_confidence_offline,
                                  estimate_probabilistic_safety)
@@ -137,6 +137,25 @@ def test_safety_logged_episodes_clamp_to_n_and_default_to_none():
     default = estimate_probabilistic_safety(scn, ctrl, None, FAST_SPEC, master_seed=[4, 1])
     assert default.logged == ()
     assert "logged" not in repr(est)
+
+
+@pytest.mark.parametrize("name,value", [("jobs", 0), ("jobs", -1), ("jobs", 2.5), ("jobs", True),
+                                        ("log_episodes", -1), ("log_episodes", 1.5)])
+def test_safety_refuses_a_job_or_log_count_that_is_not_a_count(name, value):
+    scn = sim.straight_obstacle_scenario()
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        estimate_probabilistic_safety(scn, ScriptedController(), None, FAST_SPEC, master_seed=0,
+                                      **{name: value})
+
+
+def test_the_report_holds_an_estimates_counts_and_precision():
+    # the report's schema: a new SafetyEstimate field goes into it on purpose
+    est = estimate_probabilistic_safety(sim.straight_obstacle_scenario(), ScriptedController(),
+                                        None, FAST_SPEC, master_seed=2, log_episodes=1)
+    counts = ("eta_hat", "n", "safe_count", "handover_count", "collision_count",
+              "out_of_bounds_count", "error_count", "autonomy_rate")
+    assert io.estimate_to_dict(est) == {"theta": 0.45, "gamma": 0.5,
+                                        **{k: getattr(est, k) for k in counts}}
 
 
 def test_safety_deterministic():

@@ -234,11 +234,12 @@ def test_confidence_adjacent_bins_count_at_one_width():
     assert decision_confidence(pred2, d, 0.1) == pytest.approx(8.0 / 12.0)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan])
+@pytest.mark.parametrize("eps", [0.0, -0.1, math.nan, math.inf])
 def test_confidence_eps_must_be_positive(eps):
-    # a NaN eps would read 0.0 and warn W2 on every frame
+    # a NaN eps would read 0.0 and warn W2 on every frame, an infinite one
+    # 1.0 on every frame, so the monitor would never warn
     pred = pred_from_rows(one_hot_rows([5] * 10))
-    with pytest.raises(ValueError, match="eps must be positive"):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
         decision_confidence(pred, decide(pred), eps)
 
 
